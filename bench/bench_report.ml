@@ -32,6 +32,13 @@ type alloc = {
   soa_words_per_event : float;
 }
 
+type scale = {
+  scale_n : int;
+  round_s_jobs1 : float;  (* median Scale.round wall time at one worker *)
+  round_s_jobsn : float;  (* same at [jobs] workers *)
+  scale_speedup : float;
+}
+
 type t = {
   mode : string;  (* "quick" or "full" *)
   jobs : int;
@@ -39,6 +46,7 @@ type t = {
   suite : suite option;
   kernels : kernel list;
   alloc : alloc option;
+  scale : scale option;
 }
 
 (* ---------- experiment suite ---------- *)
@@ -153,6 +161,9 @@ let bench_engine =
               done)));
     ]
 
+let scale_model_1m =
+  lazy (Csync_process.Soa.create ~n:1_000_000 ~degree:8 ~f:2 ~seed:1 ())
+
 let bench_round =
   let params = Csync_harness.Defaults.base () in
   let run_rounds ~exchanges =
@@ -167,9 +178,10 @@ let bench_round =
     ignore (Csync_harness.Scenario.run scenario)
   in
   (* The scale gate: one synchronization round of the struct-of-arrays
-     model at n = 10^5 on a degree-8 ring - 900k events scheduled, wheeled,
-     merged and swept.  The model persists across iterations (each op
-     simulates the next round); sharding follows the ambient job count. *)
+     model at n = 10^5 on a degree-8 ring - 900k estimates filled straight
+     into their rows and swept.  The model persists across iterations
+     (each op simulates the next round); sharding follows the ambient job
+     count.  [bench_round_1m] is the same round at n = 10^6. *)
   let scale_model =
     lazy (Csync_process.Soa.create ~n:100_000 ~degree:8 ~f:2 ~seed:1 ())
   in
@@ -198,6 +210,19 @@ let bench_round =
       Test.make ~name:"gradient-round-n100k"
         (Staged.stage (fun () ->
              ignore (Csync_harness.Scale.round (Lazy.force gradient_model))));
+    ]
+
+(* Its own group, run after every other kernel: bechamel compacts the
+   heap before each sample and counts that against the time quota, so
+   while this model is live the tiny kernels get too few samples to
+   resolve their ns/op.  The model is built outside the timed runs. *)
+let bench_round_1m =
+  Test.make_grouped ~name:"simulation"
+    [
+      Test.make_with_resource ~name:"one-round-n1M" Test.uniq
+        ~allocate:(fun () -> Lazy.force scale_model_1m)
+        ~free:ignore
+        (Staged.stage (fun m -> ignore (Csync_harness.Scale.round m)));
     ]
 
 (* The model checker's exploration loop, at a scope small enough to finish
@@ -292,7 +317,7 @@ let bench_obs =
         (Staged.stage (fun () -> Csync_obs.Shard.Counter.incr sc_off));
       Test.make ~name:"phase-span-disabled"
         (Staged.stage (fun () ->
-             Csync_obs.Profile.time prof_off Csync_obs.Profile.Merge ignore));
+             Csync_obs.Profile.time prof_off Csync_obs.Profile.Apply ignore));
       Test.make ~name:"monitor-check-disabled"
         (Staged.stage (fun () ->
              Csync_obs.Monitor.Agreement.check mon_off ~time:1.0 ~skew:0.5));
@@ -397,7 +422,7 @@ let delivery_alloc () =
   if events <= 0 then Float.nan else words /. float_of_int events
 
 (* Struct-of-arrays round at n = 10^4: per-event churn of the sharded
-   scale path, including the canonical merge. *)
+   scale path (slab fill, sweep, apply). *)
 let soa_alloc () =
   let model = Csync_process.Soa.create ~n:10_000 ~degree:8 ~f:2 ~seed:1 () in
   let events, _ = Csync_harness.Scale.round ~jobs:1 model in
@@ -409,6 +434,29 @@ let measure_alloc () =
     engine_words_per_event = engine_alloc ();
     delivery_words_per_event = delivery_alloc ();
     soa_words_per_event = soa_alloc ();
+  }
+
+(* Scale.round on the n = 10^6 ring at one worker and at [jobs]: five
+   alternating pairs after a warm-up round, so a slow phase of the machine
+   hits both sides alike; each side reports its median.  Rounds advance
+   the shared model, which changes no round's cost. *)
+let measure_scale ~jobs =
+  let model = Lazy.force scale_model_1m in
+  let round jobs = fst (timed (fun () -> Csync_harness.Scale.round ~jobs model)) in
+  ignore (round jobs);
+  let pairs = Array.init 5 (fun _ -> let one = round 1 in (one, round jobs)) in
+  let median f =
+    let a = Array.map f pairs in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let round_s_jobs1 = median fst in
+  let round_s_jobsn = median snd in
+  {
+    scale_n = Csync_process.Soa.n model;
+    round_s_jobs1;
+    round_s_jobsn;
+    scale_speedup = round_s_jobs1 /. round_s_jobsn;
   }
 
 let ns_per_op ols =
@@ -429,7 +477,7 @@ let run_kernels ~quick =
         (fun name o acc -> { name; ns_per_op = ns_per_op o } :: acc)
         results [])
     [ bench_multiset; bench_engine; bench_round; bench_check; bench_obs;
-      bench_stabilize ]
+      bench_stabilize; bench_round_1m ]
   |> List.sort (fun a b -> String.compare a.name b.name)
 
 let find_kernel t name =
@@ -495,13 +543,16 @@ let run ?(jobs = 0) ~quick ~compare_jobs1 () =
   let jobs = if jobs > 0 then jobs else Csync_harness.Pool.default_jobs () in
   let suite, out = run_suite ~jobs ~quick ~compare_jobs1 in
   let kernels = run_kernels ~quick in
+  let alloc = measure_alloc () in
+  let scale = measure_scale ~jobs in
   ( {
       mode = (if quick then "quick" else "full");
       jobs;
       parallel_available = Csync_harness.Pool.parallel_available;
       suite = Some suite;
       kernels;
-      alloc = Some (measure_alloc ());
+      alloc = Some alloc;
+      scale = Some scale;
     },
     out )
 
@@ -547,6 +598,12 @@ let pp_summary ppf t =
   | Some r ->
     Format.fprintf ppf "stabilize wrapper disabled-path overhead: %.1f ns/op@." r
   | None -> ());
+  (match t.scale with
+  | None -> ()
+  | Some s ->
+    Format.fprintf ppf
+      "scale round at n=%d: %.3f s at 1 job, %.3f s at %d jobs (speedup %.2fx)@."
+      s.scale_n s.round_s_jobs1 s.round_s_jobsn t.jobs s.scale_speedup);
   match t.alloc with
   | None -> ()
   | Some a ->
@@ -597,6 +654,15 @@ let to_json t =
     add "    \"engine\": %s,\n" (json_float a.engine_words_per_event);
     add "    \"delivery\": %s,\n" (json_float a.delivery_words_per_event);
     add "    \"soa_round\": %s\n" (json_float a.soa_words_per_event);
+    add "  },\n");
+  (match t.scale with
+  | None -> add "  \"scale_round\": null,\n"
+  | Some s ->
+    add "  \"scale_round\": {\n";
+    add "    \"n\": %d,\n" s.scale_n;
+    add "    \"round_s_jobs1\": %s,\n" (json_float s.round_s_jobs1);
+    add "    \"round_s_jobsN\": %s,\n" (json_float s.round_s_jobsn);
+    add "    \"speedup_vs_jobs1\": %s\n" (json_float s.scale_speedup);
     add "  },\n");
   add "  \"kernels_ns_per_op\": {\n";
   let rec kernels = function

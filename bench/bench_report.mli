@@ -21,11 +21,20 @@ type alloc = {
       (** warm cluster ping-pong: slab-recycled deliveries, so only the
           handler's action list and closure-boundary boxing remain *)
   soa_words_per_event : float;
-      (** one struct-of-arrays round at n = 10^4, merge included *)
+      (** one struct-of-arrays round at n = 10^4 (fill, sweep, apply) *)
 }
 (** The zero-alloc audit: minor-heap words per simulated event on each
     layer's steady-state path, measured with [Gc.minor_words] after a
     warm-up pass (slabs and wheels at their high-water marks). *)
+
+type scale = {
+  scale_n : int;  (** model size: the degree-8 ring at n = 10^6 *)
+  round_s_jobs1 : float;  (** median {!Csync_harness.Scale.round} at 1 worker *)
+  round_s_jobsn : float;  (** same at the report's [jobs] workers *)
+  scale_speedup : float;  (** [round_s_jobs1 /. round_s_jobsn] *)
+}
+(** The sharded round's parallel speedup, measured on the model the
+    [simulation/one-round-n1M] kernel runs. *)
 
 type t = {
   mode : string;  (** "quick" or "full" *)
@@ -34,6 +43,7 @@ type t = {
   suite : suite option;
   kernels : kernel list;
   alloc : alloc option;
+  scale : scale option;
 }
 
 val run : ?jobs:int -> quick:bool -> compare_jobs1:bool -> unit -> t * string

@@ -5,10 +5,12 @@
 
 let g_of ~f ~count = if count <= 0 then 0 else min f ((count - 1) / 3)
 
-(* Rows are short (a ring degree plus one) and arrive nearly sorted from a
-   time-ordered event drain, so insertion sort - O(len + inversions) - beats
-   anything with setup cost here. *)
-let sort_row slab ~off ~len =
+(* Rows are short (a ring degree plus one), so insertion sort -
+   O(len + inversions) - beats anything with setup cost here.  The float
+   annotation is load-bearing: without it the function generalises to
+   ['a array], and every comparison becomes a polymorphic compare call on
+   a boxed float. *)
+let sort_row (slab : float array) ~off ~len =
   for i = off + 1 to off + len - 1 do
     let x = Array.unsafe_get slab i in
     let j = ref i in
@@ -19,7 +21,7 @@ let sort_row slab ~off ~len =
     Array.unsafe_set slab !j x
   done
 
-let mid_sorted slab ~off ~count ~g =
+let[@inline] mid_sorted slab ~off ~count ~g =
   (Array.unsafe_get slab (off + g) +. Array.unsafe_get slab (off + count - 1 - g))
   /. 2.
 

@@ -2,19 +2,16 @@
 
    A round at n = 10^5 is n(degree+1) events.  Because Soa's topology and
    delays are pure functions of (seed, src, dst, round), destination ranges
-   are independent: each shard replays its own slice of the round on its
-   own timing-wheel queue, and no cross-shard messaging exists to
-   serialize.  Determinism then rests on two facts:
+   are independent: each shard fills and sweeps its own slice of the
+   round's estimate rows, and no cross-shard messaging exists to
+   serialize.  Corrections are a positional stitch of per-destination
+   values that do not depend on shard boundaries, so Pool's index-ordered
+   results make the state trajectory byte-identical at any worker count.
 
-   - corrections are a positional stitch of per-destination values that do
-     not depend on shard boundaries, so Pool's index-ordered results make
-     the state trajectory byte-identical at any worker count;
-
-   - the canonical event order is recovered by a k-way merge of the shard
-     pop streams on (time, prio, stable id) - each stream is already
-     sorted by that key (Soa.run_shard schedules ids in ascending order),
-     and ids are globally unique, so the merged sequence, and the checksum
-     folded over it, cannot depend on where the shard cuts fell. *)
+   Nothing orders events in time: a row's correction is a function of its
+   estimate multiset.  The canonical (time, prio, stable id) event order
+   survives only in the test oracle [reference_run], which materialises
+   and sorts a round's events and folds the merge checksum over them. *)
 
 module Soa = Csync_process.Soa
 module Sweep = Csync_core.Sweep
@@ -24,16 +21,16 @@ module Profile = Csync_obs.Profile
 
 (* Same 62-bit mixer family as Soa's hash: allocation-free, deterministic
    across 64-bit platforms. *)
-let mix x =
+let[@inline] mix x =
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545F4914F6CDD1D in
   let x = x lxor (x lsr 29) in
   let x = x * 0x1F123BB5159A55E5 in
   x lxor (x lsr 32)
 
-let mix_int h k = mix (h lxor k)
+let[@inline] mix_int h k = mix (h lxor k)
 
-let mix_float h x = mix_int h (Int64.to_int (Int64.bits_of_float x))
+let[@inline] mix_float h x = mix_int h (Int64.to_int (Int64.bits_of_float x))
 
 let shard_bounds ~n ~shards s = (s * n / shards, (s + 1) * n / shards)
 
@@ -66,6 +63,16 @@ let observe_shard t sh (shard : Soa.shard) =
     done
   end
 
+(* Order-free digest of a shard's row midpoints: a sum of one hash per
+   row, keyed by the destination, so shards combine by addition and the
+   total cannot depend on where the shard cuts fell. *)
+let mids_digest ~lo mids =
+  let h = ref 0 in
+  for i = 0 to Array.length mids - 1 do
+    h := !h + mix_float (mix (lo + i)) (Array.unsafe_get mids i)
+  done;
+  !h
+
 let round ?jobs t =
   let n = Soa.n t in
   let jobs = resolve_jobs jobs in
@@ -78,7 +85,7 @@ let round ?jobs t =
         let lo, hi = shard_bounds ~n ~shards s in
         let sh = tele.(s) in
         let shard =
-          Shard.Span.time (Shard.span sh "profile.drain") (fun () ->
+          Shard.Span.time (Shard.span sh "profile.fill") (fun () ->
               Soa.run_shard t ~lo ~hi)
         in
         let mids = Array.make (hi - lo) Float.nan in
@@ -86,45 +93,14 @@ let round ?jobs t =
             Sweep.sweep ~slab:shard.Soa.slab ~width:(Soa.width t)
               ~counts:shard.Soa.counts ~f:(Soa.f t) ~out:mids);
         observe_shard t sh shard;
-        (shard, mids))
+        (lo, shard.Soa.count, mids, mids_digest ~lo mids))
   in
-  (* Canonical order: k-way merge of the sorted shard streams on
-     (time, packed (prio, id)).  Linear head scan - the stream count is the
-     worker count, not the process count. *)
-  let heads = Array.make shards 0 in
-  let events = ref 0 in
-  let checksum = ref 0x5EED in
-  Profile.time prof Profile.Merge (fun () ->
-      let exhausted = ref false in
-      while not !exhausted do
-        let best = ref (-1) in
-        let best_time = ref Float.infinity in
-        let best_key = ref max_int in
-        for s = 0 to shards - 1 do
-          let shard, _ = results.(s) in
-          let i = heads.(s) in
-          if i < shard.Soa.count then begin
-            let time = shard.Soa.times.(i) in
-            let key = shard.Soa.keys.(i) in
-            if time < !best_time || (time = !best_time && key < !best_key)
-            then begin
-              best := s;
-              best_time := time;
-              best_key := key
-            end
-          end
-        done;
-        if !best < 0 then exhausted := true
-        else begin
-          heads.(!best) <- heads.(!best) + 1;
-          incr events;
-          checksum := mix_int (mix_float !checksum !best_time) !best_key
-        end
-      done);
+  let events = Array.fold_left (fun acc (_, c, _, _) -> acc + c) 0 results in
+  let digest =
+    mix (Array.fold_left (fun acc (_, _, _, d) -> acc + d) 0 results)
+  in
   Profile.time prof Profile.Apply (fun () ->
-      Array.iter
-        (fun (shard, mids) -> Soa.apply t ~lo:shard.Soa.lo mids)
-        results);
+      Array.iter (fun (lo, _, mids, _) -> Soa.apply t ~lo mids) results);
   Profile.time prof Profile.Advance (fun () -> Soa.advance t);
   (* Index-ordered fold keeps the merged telemetry — and with it the
      trace bytes — independent of which worker finished first. *)
@@ -138,10 +114,35 @@ let round ?jobs t =
   if Obs.Series.active sp_s then begin
     let r = float_of_int (Soa.round t - 1) in
     Obs.Series.push (Obs.series obs "scale.events_per_round") r
-      (float_of_int !events);
+      (float_of_int events);
     Obs.Series.push sp_s r (Soa.spread t);
     Obs.Series.push (Obs.series obs "scale.local_skew_max") r (Soa.local_skew t)
   end;
+  (events, digest)
+
+(* One round's events in canonical order - (time, packed (prio, id))
+   ascending, ids being globally unique - folded from 0x5EED. *)
+let merge_checksum t =
+  let times, keys = Soa.events t in
+  let order = Array.init (Array.length times) Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare times.(a) times.(b) in
+      if c <> 0 then c else Int.compare keys.(a) keys.(b))
+    order;
+  ( Array.length order,
+    Array.fold_left
+      (fun h i -> mix_int (mix_float h times.(i)) keys.(i))
+      0x5EED order )
+
+let reference_run ?jobs ~rounds t =
+  let events = ref 0 and checksum = ref 0 in
+  for _ = 1 to rounds do
+    let ev, ck = merge_checksum t in
+    events := !events + ev;
+    checksum := mix_int !checksum ck;
+    ignore (round ?jobs t)
+  done;
   (!events, !checksum)
 
 type stats = {

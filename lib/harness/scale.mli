@@ -1,22 +1,23 @@
 (** Sharded driver for the struct-of-arrays cluster model
-    ({!Csync_process.Soa}) - synchronization rounds at n ~ 10^5 across
-    {!Pool} workers with a deterministic cross-shard event merge.
+    ({!Csync_process.Soa}) - synchronization rounds at n ~ 10^5-10^6
+    across {!Pool} workers.
 
     Each round splits the destination space into contiguous shards, one
-    per worker; a shard replays its slice of the round on a private
-    timing-wheel queue and sweeps its estimate rows with
-    {!Csync_core.Sweep}.  Results are stitched positionally and the shard
-    pop streams are k-way merged on the canonical (time, prio, stable id)
-    key, so both the state trajectory and the {!stats} checksum are
-    byte-identical for any worker count - the same invariant the
-    experiment suite holds through {!Pool}.
+    per worker; a shard fills its slice of the round's estimate rows
+    ({!Csync_process.Soa.run_shard}) and sweeps them with
+    {!Csync_core.Sweep}.  Results are stitched positionally, so the state
+    trajectory is byte-identical for any worker count - the same
+    invariant the experiment suite holds through {!Pool}.  No phase
+    orders events in time: a row's correction depends only on its
+    estimate multiset.  The canonical (time, prio, stable id) event order
+    is kept as a test oracle, {!reference_run}.
 
     When the ambient {!Csync_obs.Registry} is enabled, each worker
     additionally fills a private telemetry shard ({!Csync_obs.Shard}:
     [scale.events], log-bucketed [scale.link_delay] / [scale.local_skew]
-    histograms, [profile.drain] / [profile.sweep] spans), folded into the
+    histograms, [profile.fill] / [profile.sweep] spans), folded into the
     registry in shard-index order after the join; the orchestrator times
-    the merge/apply/advance/shard-merge/checksum phases through
+    the apply/advance/shard-merge/checksum phases through
     {!Csync_obs.Profile} and pushes per-round convergence series.  All of
     it observes only - results are byte-identical with telemetry on or
     off, and the merged trace is byte-identical at any [--jobs] (modulo
@@ -25,8 +26,20 @@
 val round : ?jobs:int -> Csync_process.Soa.t -> int * int
 (** Simulate one round across [jobs] shards (default
     {!Pool.default_jobs}), apply every correction, and advance the model.
-    Returns [(events, checksum)]: the merged event count and the checksum
-    folded over the canonical event order - both independent of [jobs]. *)
+    Returns [(events, digest)]: the round's event count (arrivals plus one
+    round timer per nonfaulty process, summed over the shards) and an
+    order-free digest of the per-row reduced midpoints (one hash per row,
+    summed inside the workers) - both independent of [jobs]. *)
+
+val reference_run : ?jobs:int -> rounds:int -> Csync_process.Soa.t -> int * int
+(** Test oracle for the canonical event order.  Runs [rounds] rounds with
+    {!round}; before each, materialises that round's arrivals and timers
+    ({!Csync_process.Soa.events}), sorts them by (time, prio, stable id)
+    and folds them into a merge checksum - a [mix] chain from [0x5EED] over
+    each event's time and [(prio lsl 42 lor id)] key.  Returns the total
+    event count and the fold of the per-round checksums, the pair the
+    golden trajectories pin.  O(E log E) time and O(E) memory per round of
+    E events. *)
 
 type stats = {
   n : int;
@@ -34,7 +47,7 @@ type stats = {
   shards : int;
   rounds : int;
   events : int;  (** total events across all rounds *)
-  checksum : int;  (** fold of the per-round merge checksums *)
+  checksum : int;  (** fold of the per-round midpoint digests *)
   state : int;  (** {!state_checksum} of the final model state *)
   spread0 : float;  (** nonfaulty broadcast-time spread before round 1 *)
   spread1 : float;  (** same spread after the last round *)

@@ -52,7 +52,7 @@ let total_events t =
     0 (Report.counters t)
 
 let phase_rank p =
-  let order = [ "drain"; "sweep"; "merge"; "apply"; "checksum"; "advance" ] in
+  let order = [ "fill"; "sweep"; "apply"; "checksum"; "advance" ] in
   let rec go i = function
     | [] -> List.length order
     | q :: rest -> if q = p then i else go (i + 1) rest

@@ -30,18 +30,15 @@ type 'm t = {
    over the [delta - eps, delta + eps] jitter window, so eps / 2 resolves it
    into a few buckets; a jitter-free model falls back to a fraction of the
    base delay itself. *)
-let wheel_backend delay =
-  match Csync_sim.Event_queue.default_backend () with
-  | Csync_sim.Event_queue.Heap -> Csync_sim.Event_queue.Heap
-  | Csync_sim.Event_queue.Wheel { buckets; width = default_width } ->
-    let eps = Csync_net.Delay.eps delay in
-    let delta = Csync_net.Delay.delta delay in
-    let width =
-      if eps > 0. then eps /. 2.
-      else if delta > 0. then delta /. 8.
-      else default_width
-    in
-    Csync_sim.Event_queue.Wheel { width; buckets }
+let wheel_geometry delay =
+  let eps = Csync_net.Delay.eps delay in
+  let delta = Csync_net.Delay.delta delay in
+  let width =
+    if eps > 0. then eps /. 2.
+    else if delta > 0. then delta /. 8.
+    else Csync_sim.Event_queue.default_geometry.width
+  in
+  { Csync_sim.Event_queue.default_geometry with width }
 
 let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     ?(exchanges = 1) ~procs () =
@@ -59,7 +56,7 @@ let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
   in
   let expected = if exchanges <= 0 then 2 * n else bcast_total + (2 * n) in
   let engine =
-    Engine.create ~backend:(wheel_backend delay) ~expected ()
+    Engine.create ~geometry:(wheel_geometry delay) ~expected ()
   in
   let buffer =
     Message_buffer.create ~n ?graph ~delay ?collision ~trace ~engine ()

@@ -7,7 +7,10 @@
    one synchronization round as a pure function of that state: broadcast
    times, hashed per-link delays and arrival estimates are all recomputed
    from (seed, src, dst, round) rather than stored, so a shard of the
-   process space can be simulated with nothing but its own event queue.
+   process space can be simulated with nothing but its own estimate rows:
+   each arrival's estimate is computed and written straight into its
+   destination's row, in any order, because a round's correction depends
+   only on the multiset of estimates.
 
    Who hears whom is a Topo.Graph - the default is the same directed
    predecessor ring the model hardcoded before topologies existed (and
@@ -20,14 +23,13 @@
    midpoint), whose per-hop skew guarantee is what sparse topologies are
    for.
 
-   Events are integers: an arrival or round timer for destination [dst] is
-   [dst * width + slot], where [width] = max in-degree + 1; arrival slots
-   are in-neighbor positions, the timer is slot [width - 1].  This gives
-   every event a globally stable id - the merge key (time, prio, id) that
-   Harness.Scale uses to stitch shard streams back into one canonical
-   order. *)
+   Events have integer ids: an arrival or round timer for destination
+   [dst] is [dst * width + slot], where [width] = max in-degree + 1;
+   arrival slots are in-neighbor positions, the timer is slot [width - 1].
+   Only the reference stream [events] materialises them: sorted by
+   (time, prio, id), it is the canonical event order that the test oracle
+   Harness.Scale.reference_run folds into a merge checksum. *)
 
-module Event_queue = Csync_sim.Event_queue
 module Graph = Csync_topo.Graph
 module Gradient = Csync_topo.Gradient
 
@@ -60,7 +62,7 @@ let st_pull = 2
 (* 62-bit mixer (splitmix-style, constants chosen to fit OCaml's native
    int): deterministic across 64-bit platforms and allocation-free, unlike
    the boxed Int64 route. *)
-let mix x =
+let[@inline] mix x =
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545F4914F6CDD1D in
   let x = x lxor (x lsr 29) in
@@ -69,7 +71,7 @@ let mix x =
 
 let u01_scale = 1. /. 1099511627776.  (* 2^-40 *)
 
-let u01 h = float_of_int ((h land max_int) land ((1 lsl 40) - 1)) *. u01_scale
+let[@inline] u01 h = float_of_int ((h land max_int) land ((1 lsl 40) - 1)) *. u01_scale
 
 let create ?graph ?(degree = 8) ?(f = 2) ?(seed = 1) ?(rho = 1e-5)
     ?(delta = 0.01) ?(eps = 0.001) ?(period = 10.) ?(dispersion = 1.)
@@ -140,21 +142,25 @@ let set_pull t pid skew =
 
 let is_ok t pid = t.status.(pid) = st_ok
 
-let in_degree t dst = Graph.in_degree t.graph dst
+let[@inline] in_degree t dst = Graph.in_degree t.graph dst
 
-let in_neighbor t ~dst j = Graph.in_neighbor t.graph ~dst j
+let[@inline] in_neighbor t ~dst j = Graph.in_neighbor t.graph ~dst j
 
 (* Real time at which p's logical clock reads the current round's target
    T_r = period * (round + 1): L_p(b) = (1 + rate) b + offset + corr = T_r. *)
-let broadcast_time t p =
+let[@inline] broadcast_time t p =
   let target = t.period *. float_of_int (t.round + 1) in
   (target -. t.offset.(p) -. t.corr.(p)) /. (1. +. t.rate.(p))
 
-let report_time t p =
+let[@inline] report_time t p =
   let b = broadcast_time t p in
   if t.status.(p) = st_pull then b +. t.pull.(p) else b
 
-let delay t ~hround ~src ~dst =
+(* The current round's delay-hash seed, hoisted out of every per-link
+   draw. *)
+let round_hash t = mix (t.round + mix (3 + t.hseed))
+
+let[@inline] delay t ~hround ~src ~dst =
   let u = u01 (mix (src + mix (dst + hround))) in
   t.delta -. t.eps +. (2. *. t.eps *. u)
 
@@ -194,14 +200,12 @@ let local_skew_at t p =
 let link_delay t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Soa.link_delay";
-  delay t ~hround:(mix (t.round + mix (3 + t.hseed))) ~src ~dst
+  delay t ~hround:(round_hash t) ~src ~dst
 
 type shard = {
   lo : int;
   hi : int;
   count : int;
-  times : float array;
-  keys : int array;
   slab : float array;
   counts : int array;
 }
@@ -213,86 +217,69 @@ let shard_key ~prio ~id = (prio lsl prio_bits) lor id
 let key_prio k = k lsr prio_bits
 let key_id k = k land ((1 lsl prio_bits) - 1)
 
-(* Unlike Cluster, a round's arrivals spread over the whole dispersion span,
-   not just one delay window - size the buckets so the wheel's horizon
-   covers the span (else most events detour through the overflow heap),
-   but never finer than the delay jitter resolves. *)
-let wheel_backend t ~span =
-  match Event_queue.default_backend () with
-  | Event_queue.Heap -> Event_queue.Heap
-  | Event_queue.Wheel { buckets; width = default_width } ->
-    let jitter =
-      if t.eps > 0. then t.eps /. 2.
-      else if t.delta > 0. then t.delta /. 8.
-      else default_width
-    in
-    let width = Float.max jitter (span /. float_of_int buckets) in
-    Event_queue.Wheel { width; buckets }
-
+(* Each arrival's estimate is written straight into its destination's row:
+   the sweep sorts every row, so the order estimates arrive in cannot move
+   a correction, and no event queue is needed.  The row order is adjacency
+   order (self first), not time order. *)
 let run_shard t ~lo ~hi =
   if lo < 0 || hi > t.n || lo >= hi then invalid_arg "Soa.run_shard: bad range";
-  let rows = hi - lo in
-  let stride = stride t in
-  let width = width t in
-  let hround = mix (t.round + mix (3 + t.hseed)) in
-  (* Round horizon: the latest claimed broadcast plus the worst-case delay
-     bounds every arrival, so the per-destination round timers (prio 1,
-     after messages at equal time) close every row. *)
-  let hmax = ref neg_infinity and hmin = ref infinity in
-  for p = 0 to t.n - 1 do
-    if t.status.(p) <> st_crashed then begin
-      let b = report_time t p in
-      if b > !hmax then hmax := b;
-      if b < !hmin then hmin := b
-    end
-  done;
-  let horizon = !hmax +. t.delta +. t.eps in
-  let span = Float.max 0. (horizon -. (!hmin +. t.delta -. t.eps)) in
-  let cap = rows * stride in
-  let q = Event_queue.create ~backend:(wheel_backend t ~span) ~expected:cap () in
-  let slab = Array.make (rows * width) 0. in
-  let counts = Array.make rows 0 in
+  let width = t.width in
+  let hround = round_hash t in
+  let slab = Array.make ((hi - lo) * width) 0. in
+  let counts = Array.make (hi - lo) 0 in
+  let count = ref 0 in
   for dst = lo to hi - 1 do
-    if t.status.(dst) = st_ok then begin
-      let row = dst - lo in
+    if Array.unsafe_get t.status dst = st_ok then begin
+      let off = (dst - lo) * width in
       (* A process hears its own broadcast exactly. *)
-      slab.(row * width) <- broadcast_time t dst;
-      counts.(row) <- 1;
+      Array.unsafe_set slab off (broadcast_time t dst);
+      let c = ref 1 in
       for j = 0 to in_degree t dst - 1 do
         let src = in_neighbor t ~dst j in
-        if t.status.(src) <> st_crashed then begin
-          let a = report_time t src +. delay t ~hround ~src ~dst in
-          Event_queue.add q ~time:a ~prio:0 ((dst * stride) + j)
+        if Array.unsafe_get t.status src <> st_crashed then begin
+          (* The estimate of the sender's round start is the arrival time
+             minus the nominal delay (Section 4's ARR - delta), off by at
+             most eps. *)
+          Array.unsafe_set slab (off + !c)
+            (report_time t src +. delay t ~hround ~src ~dst -. t.delta);
+          incr c
         end
       done;
-      Event_queue.add q ~time:horizon ~prio:1 ((dst * stride) + (stride - 1))
+      Array.unsafe_set counts (dst - lo) !c;
+      (* [c - 1] arrivals plus the row's round timer. *)
+      count := !count + !c
     end
   done;
-  let times = Array.make (max cap 1) 0. in
-  let keys = Array.make (max cap 1) 0 in
-  let count = ref 0 in
-  let delta = t.delta in
-  let timer_slot = stride - 1 in
-  let n =
-    Event_queue.iter_pop_until q ~until:Float.infinity ~f:(fun time id ->
-        let i = !count in
-        incr count;
-        Array.unsafe_set times i time;
-        let slot = id mod stride in
-        if slot < timer_slot then begin
-          (* Arrival: the estimate of the sender's round start is the
-             arrival time minus the nominal delay (Section 4's ARR - delta),
-             off by at most eps. *)
-          Array.unsafe_set keys i (shard_key ~prio:0 ~id);
-          let row = (id / stride) - lo in
-          let c = Array.unsafe_get counts row in
-          Array.unsafe_set slab ((row * width) + c) (time -. delta);
-          Array.unsafe_set counts row (c + 1)
-        end
-        else Array.unsafe_set keys i (shard_key ~prio:1 ~id))
+  { lo; hi; count = !count; slab; counts }
+
+(* The round horizon: the latest claimed broadcast plus the worst-case
+   delay bounds every arrival, so per-destination round timers there
+   (prio 1, after messages at equal time) close every row. *)
+let events t =
+  let hmax = ref neg_infinity in
+  for p = 0 to t.n - 1 do
+    if t.status.(p) <> st_crashed then hmax := Float.max !hmax (report_time t p)
+  done;
+  let horizon = !hmax +. t.delta +. t.eps in
+  let hround = round_hash t in
+  let times = ref [] and keys = ref [] in
+  let add time key =
+    times := time :: !times;
+    keys := key :: !keys
   in
-  assert (n = !count);
-  { lo; hi; count = !count; times; keys; slab; counts }
+  for dst = 0 to t.n - 1 do
+    if t.status.(dst) = st_ok then begin
+      for j = 0 to in_degree t dst - 1 do
+        let src = in_neighbor t ~dst j in
+        if t.status.(src) <> st_crashed then
+          add
+            (report_time t src +. delay t ~hround ~src ~dst)
+            (shard_key ~prio:0 ~id:((dst * t.width) + j))
+      done;
+      add horizon (shard_key ~prio:1 ~id:((dst * t.width) + t.width - 1))
+    end
+  done;
+  (Array.of_list (List.rev !times), Array.of_list (List.rev !keys))
 
 (* Retarget each surviving row's broadcast toward its correction target:
    the row's reduced midpoint under [Midpoint] (the Welch-Lynch jump), or

@@ -75,7 +75,8 @@ val stride : t -> int
     [dst * stride .. dst * stride + stride - 1]; slots
     [0 .. in_degree - 1] are arrivals from its in-neighbours in adjacency
     order, slot [stride - 1] the round timer.  Ids are stable across
-    shardings - the third component of the canonical merge key. *)
+    shardings - the third component of the canonical (time, prio, id)
+    key of {!events}. *)
 
 val crash : t -> int -> unit
 (** Crash fault: the process stops broadcasting (and, being dead, its own
@@ -126,9 +127,9 @@ val link_delay : t -> src:int -> dst:int -> float
 type shard = {
   lo : int;
   hi : int;
-  count : int;  (** events logged; [times]/[keys] are valid below it *)
-  times : float array;  (** event times in pop order *)
-  keys : int array;  (** packed [(prio, id)] in pop order, see {!shard_key} *)
+  count : int;
+      (** the round's events for these rows: arrivals plus one round timer
+          per nonfaulty destination *)
   slab : float array;  (** [(hi-lo) * width] row estimates, unsorted *)
   counts : int array;  (** per-row estimate counts *)
 }
@@ -142,16 +143,27 @@ val key_prio : int -> int
 val key_id : int -> int
 
 val run_shard : t -> lo:int -> hi:int -> shard
-(** Simulate the current round for destinations [lo .. hi - 1]: schedule
-    every arrival and the per-destination round timer into a fresh
-    timing-wheel event queue (bucket width from the delay model, as in
-    {!Cluster}), drain it in (time, prio, insertion) order, and record the
-    pop stream and the estimate rows.  Ids are scheduled in ascending
-    order, so within a shard the insertion seqno order coincides with the
-    stable-id order and the logged stream is already sorted by the
-    canonical (time, prio, id) key.  Read-only on [t]: shards of the same
-    round may run concurrently.
+(** Simulate the current round for destinations [lo .. hi - 1]: every
+    nonfaulty row gets its own broadcast time in slot 0, then
+    [report_time src + delay - delta] for each non-crashed in-neighbour
+    [src], in adjacency order.  No event queue and no time ordering:
+    {!Csync_core.Sweep} sorts each row, and the reduced midpoint depends
+    only on the row's multiset.  Allocates the slab and counts, nothing
+    per event.  Read-only on [t]: shards of the same round may run
+    concurrently.
     @raise Invalid_argument unless [0 <= lo < hi <= n]. *)
+
+val events : t -> float array * int array
+(** Reference stream of the current round, as [(times, keys)]: every
+    arrival at [report_time src + delay] keyed
+    [shard_key ~prio:0 ~id:(dst * stride + j)], and for every nonfaulty
+    destination a round timer keyed [shard_key ~prio:1 ~id:(dst * stride +
+    stride - 1)] at the round horizon (the latest non-crashed
+    {!report_time} plus [delta + eps]).  Destination-major, unsorted.
+    Sorted by (time, key) it is the canonical event order; [run_shard]'s
+    rows are its arrival times minus [delta].  A test oracle: it
+    materialises every event of the round, so it is O(n * degree) memory
+    and never on the simulation path. *)
 
 val apply : t -> lo:int -> float array -> unit
 (** [apply t ~lo mids] retargets each nonfaulty process [lo + i]'s

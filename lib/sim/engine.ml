@@ -11,17 +11,15 @@ type 'a t = {
 (* The ambient registry is captured once, at creation; with telemetry
    disabled both handles are permanent no-ops and the hot path below
    costs one branch. *)
-let create ?(start_time = 0.) ?backend ?expected () =
+let create ?(start_time = 0.) ?geometry ?expected () =
   let obs = Obs.installed () in
   {
-    queue = Event_queue.create ?backend ?expected ();
+    queue = Event_queue.create ?geometry ?expected ();
     now = start_time;
     obs_events = Obs.counter obs "sim.events";
     obs_depth_hw = Obs.gauge obs "sim.queue_depth_hw";
     obs_occ_hw = Obs.gauge obs "sim.queue_occupancy_hw";
   }
-
-let backend_kind t = Event_queue.backend_kind t.queue
 
 let now t = t.now
 

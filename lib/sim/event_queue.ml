@@ -1,28 +1,21 @@
-(* Two scheduler backends behind one interface.
-
-   [Heap] is the original comparison-based binary min-heap: O(log n) per
-   operation, no assumptions about the time distribution.  It remains the
-   reference implementation for equivalence tests and the overflow store of
-   the wheel backend.
-
-   [Wheel] is a timing wheel / calendar queue exploiting the bounded-delay
-   structure of the model: deliveries land in [delta - eps, delta + eps] of
-   their send time and timers fire at round boundaries, so the active time
-   horizon is narrow.  Events are hashed into [buckets] fixed-width time
-   buckets (O(1) insert); each bucket stores its events struct-of-arrays and
-   is sorted lazily when it becomes the current bucket.  Events beyond the
-   horizon [base + (epoch + buckets) * width] go to an overflow heap and are
-   promoted into the wheel as the current bucket (the epoch) advances.
+(* The scheduler: a timing wheel / calendar queue exploiting the
+   bounded-delay structure of the model.  Deliveries land in
+   [delta - eps, delta + eps] of their send time and timers fire at round
+   boundaries, so the active time horizon is narrow.  Events are hashed
+   into [buckets] fixed-width time buckets (O(1) insert); each bucket
+   stores its events struct-of-arrays and is sorted lazily when it becomes
+   the current bucket.  Events beyond the horizon
+   [base + (epoch + buckets) * width] go to an overflow heap ({!Heap}) and
+   are promoted into the wheel as the current bucket (the epoch) advances.
    Occupied buckets are tracked in a bitmask so advancing skips empty
    buckets a word at a time.
 
-   Both backends pop in exactly the same order: (time, prio, seq), where seq
-   is the insertion sequence number.  The wheel guarantees this because
-   bucket b only holds events with time < start of bucket b+1, so the head
-   of the (sorted) current bucket is the global minimum, and ties in time
-   can never span a bucket boundary. *)
+   Pop order is (time, prio, seq), where seq is the insertion sequence
+   number: bucket b only holds events with time < start of bucket b+1, so
+   the head of the (sorted) current bucket is the global minimum, and ties
+   in time can never span a bucket boundary. *)
 
-type backend = Heap | Wheel of { width : float; buckets : int }
+type geometry = { width : float; buckets : int }
 
 type 'a entry = { time : float; prio : int; seq : int; payload : 'a }
 
@@ -77,15 +70,10 @@ type 'a wheel = {
   mutable base : float; (* real time at the start of logical bucket 0 *)
   mutable epoch : int; (* logical number of the current bucket *)
   mutable wheel_count : int; (* live events in buckets (overflow excluded) *)
+  mutable next_seq : int; (* insertion sequence number of the next add *)
 }
 
-type 'a repr = Heap_q of 'a entry Heap.t | Wheel_q of 'a wheel
-
-type 'a t = {
-  repr : 'a repr;
-  mutable next_seq : int;
-  mutable heap_reserve : int; (* pending capacity hint, applied on first add *)
-}
+type 'a t = 'a wheel
 
 (* -- occupancy bitmask ---------------------------------------------------- *)
 
@@ -347,68 +335,45 @@ let drop_head w =
 
 (* -- construction --------------------------------------------------------- *)
 
-let default_wheel_width = 0.25
+let default_geometry = { width = 0.25; buckets = 1024 }
 
-let default_wheel_buckets = 1024
-
-let default_backend () =
-  match Sys.getenv_opt "CSYNC_ENGINE" with
-  | Some "heap" -> Heap
-  | Some "wheel" | Some _ | None ->
-    Wheel { width = default_wheel_width; buckets = default_wheel_buckets }
-
-let create ?backend ?(expected = 0) () =
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
+let create ?(geometry = default_geometry) ?(expected = 0) () =
+  let { width; buckets } = geometry in
+  if not (Float.is_finite width) || width <= 0. then
+    invalid_arg "Event_queue.create: wheel width must be finite and > 0";
+  if buckets < 1 then
+    invalid_arg "Event_queue.create: wheel needs at least one bucket";
+  (* Round the bucket count up to a power of two so physical indexing is a
+     mask instead of a division. *)
+  let nbuckets =
+    let rec p2 k = if k >= buckets then k else p2 (2 * k) in
+    p2 1
   in
-  match backend with
-  | Heap ->
+  let init_cap = min 4096 (max 16 (expected / nbuckets)) in
+  let dummy = bucket_make () in
+  let w =
     {
-      repr = Heap_q (Heap.create ~cmp:cmp_entry);
+      width;
+      nbuckets;
+      mask = nbuckets - 1;
+      init_cap;
+      dummy;
+      wbuckets = Array.make nbuckets dummy;
+      occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
+      overflow = Heap.create ~cmp:cmp_entry;
+      base = 0.;
+      epoch = 0;
+      wheel_count = 0;
       next_seq = 0;
-      heap_reserve = max 0 expected;
     }
-  | Wheel { width; buckets } ->
-    if not (Float.is_finite width) || width <= 0. then
-      invalid_arg "Event_queue.create: wheel width must be finite and > 0";
-    if buckets < 1 then
-      invalid_arg "Event_queue.create: wheel needs at least one bucket";
-    (* Round the bucket count up to a power of two so physical indexing is
-       a mask instead of a division. *)
-    let nbuckets =
-      let rec p2 k = if k >= buckets then k else p2 (2 * k) in
-      p2 1
-    in
-    let init_cap = min 4096 (max 16 (expected / nbuckets)) in
-    let dummy = bucket_make () in
-    let w =
-      {
-        width;
-        nbuckets;
-        mask = nbuckets - 1;
-        init_cap;
-        dummy;
-        wbuckets = Array.make nbuckets dummy;
-        occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
-        overflow = Heap.create ~cmp:cmp_entry;
-        base = 0.;
-        epoch = 0;
-        wheel_count = 0;
-      }
-    in
-    { repr = Wheel_q w; next_seq = 0; heap_reserve = 0 }
+  in
+  w
 
-let backend_kind q =
-  match q.repr with
-  | Heap_q _ -> Heap
-  | Wheel_q w -> Wheel { width = w.width; buckets = w.nbuckets }
+let geometry w = { width = w.width; buckets = w.nbuckets }
 
 (* -- queue interface ------------------------------------------------------ *)
 
-let size q =
-  match q.repr with
-  | Heap_q h -> Heap.size h
-  | Wheel_q w -> w.wheel_count + Heap.size w.overflow
+let size w = w.wheel_count + Heap.size w.overflow
 
 let is_empty q = size q = 0
 
@@ -416,144 +381,99 @@ let popcount x =
   let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
   go x 0
 
-let occupancy q =
-  match q.repr with
-  | Heap_q _ -> 0
-  | Wheel_q w -> Array.fold_left (fun acc word -> acc + popcount word) 0 w.occ
+let occupancy w =
+  Array.fold_left (fun acc word -> acc + popcount word) 0 w.occ
 
-let add q ~time ~prio payload =
+let add w ~time ~prio payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.add: non-finite time";
   if prio < 0 || prio > max_prio then
     invalid_arg "Event_queue.add: prio out of range";
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
-  match q.repr with
-  | Heap_q h ->
-    let entry = { time; prio; seq; payload } in
-    if q.heap_reserve > 0 then begin
-      Heap.reserve h ~dummy:entry q.heap_reserve;
-      q.heap_reserve <- 0
-    end;
-    Heap.push h entry
-  | Wheel_q w ->
-    if w.wheel_count = 0 && Heap.is_empty w.overflow then begin
-      (* Empty queue: re-anchor so this event lands in bucket 0. *)
-      w.base <- time;
-      w.epoch <- 0
-    end;
-    (* For q >= 0, int_of_float truncation IS floor, saving a libm call;
-       q < 0 (a time before the anchor, which the engine never produces but
-       this interface allows) clamps into the current bucket, where the
-       lazy sort restores global order. *)
-    let q = (time -. w.base) /. w.width in
-    if q >= float_of_int (w.epoch + w.nbuckets) then
-      Heap.push w.overflow { time; prio; seq; payload }
-    else begin
-      let lb =
-        if q <= float_of_int w.epoch then w.epoch
-        else
-          let lb = int_of_float q in
-          if lb < w.epoch then w.epoch else lb
-      in
-      bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq)
-        payload
-    end
+  let seq = w.next_seq in
+  w.next_seq <- seq + 1;
+  if w.wheel_count = 0 && Heap.is_empty w.overflow then begin
+    (* Empty queue: re-anchor so this event lands in bucket 0. *)
+    w.base <- time;
+    w.epoch <- 0
+  end;
+  (* For q >= 0, int_of_float truncation IS floor, saving a libm call;
+     q < 0 (a time before the anchor, which the engine never produces but
+     this interface allows) clamps into the current bucket, where the lazy
+     sort restores global order. *)
+  let q = (time -. w.base) /. w.width in
+  if q >= float_of_int (w.epoch + w.nbuckets) then
+    Heap.push w.overflow { time; prio; seq; payload }
+  else begin
+    let lb =
+      if q <= float_of_int w.epoch then w.epoch
+      else
+        let lb = int_of_float q in
+        if lb < w.epoch then w.epoch else lb
+    in
+    bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq) payload
+  end
 
-let peek_time q =
-  match q.repr with
-  | Heap_q h -> (match Heap.peek h with None -> None | Some e -> Some e.time)
-  | Wheel_q w ->
-    if ensure_min w then begin
-      let b = w.wbuckets.(w.epoch land w.mask) in
-      Some b.times.(b.pos)
-    end
-    else None
+let peek_time w =
+  if ensure_min w then begin
+    let b = w.wbuckets.(w.epoch land w.mask) in
+    Some b.times.(b.pos)
+  end
+  else None
 
-let pop_if_before q ~until =
-  match q.repr with
-  | Heap_q h ->
-    if Heap.is_empty h then None
+let pop_if_before w ~until =
+  if not (ensure_min w) then None
+  else begin
+    let b = w.wbuckets.(w.epoch land w.mask) in
+    let i = b.pos in
+    let time = b.times.(i) in
+    if time > until then None
     else begin
-      let e = Heap.min_elt h in
-      if e.time > until then None
-      else begin
-        let e = Heap.pop_exn h in
-        Some (e.time, e.payload)
-      end
+      let payload = b.pays.(i) in
+      drop_head w;
+      Some (time, payload)
     end
-  | Wheel_q w ->
-    if not (ensure_min w) then None
-    else begin
-      let b = w.wbuckets.(w.epoch land w.mask) in
-      let i = b.pos in
-      let time = b.times.(i) in
-      if time > until then None
-      else begin
-        let payload = b.pays.(i) in
-        drop_head w;
-        Some (time, payload)
-      end
-    end
+  end
 
 let pop q = pop_if_before q ~until:Float.infinity
 
-let iter_pop_until q ~until ~f =
-  match q.repr with
-  | Heap_q h ->
-    let count = ref 0 in
-    let looping = ref true in
-    while !looping do
-      if Heap.is_empty h then looping := false
-      else begin
-        let e = Heap.min_elt h in
-        if e.time > until then looping := false
-        else begin
-          let e = Heap.pop_exn h in
-          incr count;
-          f e.time e.payload
+let iter_pop_until w ~until ~f =
+  let count = ref 0 in
+  let looping = ref true in
+  while !looping do
+    if not (ensure_min w) then looping := false
+    else begin
+      let phys = w.epoch land w.mask in
+      let b = w.wbuckets.(phys) in
+      (* Pop a run out of the current bucket without re-deriving it per
+         event.  The run ends when the slice empties (reset eagerly, BEFORE
+         calling [f]: [f] may add to an empty queue, which re-anchors the
+         epoch) or when [f] dirties the slice by adding into this bucket;
+         [ensure_min] then re-establishes the minimum.  Otherwise
+         [pos < len] still holds at the top of the loop. *)
+      let running = ref true in
+      while !running do
+        let i = b.pos in
+        let time = Array.unsafe_get b.times i in
+        if time > until then begin
+          running := false;
+          looping := false
         end
-      end
-    done;
-    !count
-  | Wheel_q w ->
-    let count = ref 0 in
-    let looping = ref true in
-    while !looping do
-      if not (ensure_min w) then looping := false
-      else begin
-        let phys = w.epoch land w.mask in
-        let b = w.wbuckets.(phys) in
-        (* Pop a run out of the current bucket without re-deriving it per
-           event.  The run ends when the slice empties (reset eagerly,
-           BEFORE calling [f]: [f] may add to an empty queue, which
-           re-anchors the epoch) or when [f] dirties the slice by adding
-           into this bucket; [ensure_min] then re-establishes the minimum.
-           Otherwise [pos < len] still holds at the top of the loop. *)
-        let running = ref true in
-        while !running do
-          let i = b.pos in
-          let time = Array.unsafe_get b.times i in
-          if time > until then begin
-            running := false;
-            looping := false
-          end
-          else begin
-            let payload = Array.unsafe_get b.pays i in
-            b.pos <- i + 1;
-            w.wheel_count <- w.wheel_count - 1;
-            if b.pos >= b.len then begin
-              b.len <- 0;
-              b.pos <- 0;
-              b.dirty <- false;
-              clear_bit w.occ phys;
-              running := false
-            end;
-            incr count;
-            f time payload;
-            if !running && b.dirty then running := false
-          end
-        done
-      end
-    done;
-    !count
+        else begin
+          let payload = Array.unsafe_get b.pays i in
+          b.pos <- i + 1;
+          w.wheel_count <- w.wheel_count - 1;
+          if b.pos >= b.len then begin
+            b.len <- 0;
+            b.pos <- 0;
+            b.dirty <- false;
+            clear_bit w.occ phys;
+            running := false
+          end;
+          incr count;
+          f time payload;
+          if !running && b.dirty then running := false
+        end
+      done
+    end
+  done;
+  !count

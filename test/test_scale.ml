@@ -1,8 +1,10 @@
 (* The million-process simulation core: the struct-of-arrays sweep against
-   its multiset reference, the SoA cluster model's determinism, and the
-   sharded driver's worker-count and backend identities. *)
+   its multiset reference, the SoA cluster model's determinism, the direct
+   row fill against the canonical event stream, and the sharded driver's
+   worker-count identities. *)
 
 module Sweep = Csync_core.Sweep
+module Graph = Csync_topo.Graph
 module Soa = Csync_process.Soa
 module Scale = Csync_harness.Scale
 module Multiset = Csync_multiset
@@ -66,6 +68,20 @@ let sweep_tests =
               ~out:[| 0. |]);
         reject "empty mid_row" (fun () ->
             ignore (Sweep.mid_row [| 1. |] ~off:0 ~count:0 ~f:0)));
+    t "sweep allocates nothing on a 10^4-row slab" (fun () ->
+        let rows = 10_000 and width = 9 in
+        (* Rows in descending order: the insertion sort does its most
+           work, and every comparison reads two floats. *)
+        let slab =
+          Array.init (rows * width) (fun i -> float_of_int (width - (i mod width)))
+        in
+        let counts = Array.make rows width in
+        let out = Array.make rows 0. in
+        let before = Gc.minor_words () in
+        Sweep.sweep ~slab ~width ~counts ~f:2 ~out;
+        let words = Gc.minor_words () -. before in
+        check_float "minor words" 0. words;
+        check_float "midpoint" 5. out.(0));
     t "degradation rule" (fun () ->
         check_int "empty" 0 (Sweep.g_of ~f:5 ~count:0);
         check_int "one" 0 (Sweep.g_of ~f:5 ~count:1);
@@ -105,26 +121,6 @@ let soa_tests =
         (* Its own row (5 arrivals + timer) and one arrival in each of its
            5 successors' rows are gone. *)
         check_int "minus row and edges" ((50 * 6) - 6 - 5) events);
-    t "shard stream is sorted by the canonical key" (fun () ->
-        let m = Soa.create ~n:200 ~degree:6 ~seed:9 () in
-        let s = Soa.run_shard m ~lo:50 ~hi:150 in
-        check_true "nonempty" (s.Soa.count > 0);
-        let sorted = ref true in
-        for i = 1 to s.Soa.count - 1 do
-          let ta = s.Soa.times.(i - 1) and tb = s.Soa.times.(i) in
-          if ta > tb || (ta = tb && s.Soa.keys.(i - 1) >= s.Soa.keys.(i)) then
-            sorted := false
-        done;
-        check_true "(time, prio, id) nondecreasing" !sorted;
-        (* Ids stay inside the shard's destination range. *)
-        let stride = Soa.stride m in
-        Array.iteri
-          (fun i k ->
-            if i < s.Soa.count then begin
-              let dst = Soa.key_id k / stride in
-              check_true "dst in range" (dst >= 50 && dst < 150)
-            end)
-          s.Soa.keys);
     t "estimates land within eps of the sender's round start" (fun () ->
         let m = Soa.create ~n:40 ~degree:4 ~eps:0.002 ~seed:5 () in
         let s = Soa.run_shard m ~lo:0 ~hi:40 in
@@ -145,10 +141,83 @@ let soa_tests =
         done);
   ]
 
-let with_engine_env value f =
-  let prev = Option.value (Sys.getenv_opt "CSYNC_ENGINE") ~default:"wheel" in
-  Unix.putenv "CSYNC_ENGINE" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CSYNC_ENGINE" prev) f
+(* The direct fill against the canonical event stream: for every
+   destination, the sorted estimate row equals its own broadcast time plus
+   the reference arrivals' times minus delta, and the shards' event counts
+   add up to the stream's length - over ring, grid and expander graphs with
+   crash and pull rows, and a random shard cut. *)
+let fill_gen =
+  QCheck2.Gen.(
+    let* n = int_range 16 120 in
+    let* degree = int_range 1 9 in
+    let* f = int_range 0 3 in
+    let* seed = int_range 0 10_000 in
+    let* topo = int_range 0 2 in
+    let* crashed = list_size (int_range 0 4) (int_range 0 (n - 1)) in
+    let* pulled = list_size (int_range 0 4) (int_range 0 (n - 1)) in
+    let* cut = int_range 1 (n - 1) in
+    pure (n, degree, f, seed, topo, crashed, pulled, cut))
+
+let print_fill (n, degree, f, seed, topo, crashed, pulled, cut) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "n=%d degree=%d f=%d seed=%d topo=%d crashed=[%s] pulled=[%s] cut=%d"
+    n degree f seed topo (ints crashed) (ints pulled) cut
+
+let delta = 0.01
+
+let fill_model (n, degree, f, seed, topo, crashed, pulled, _) =
+  let graph =
+    match topo with
+    | 0 -> Graph.ring ~n ~degree:(min degree (n - 1))
+    | 1 -> Graph.grid ~rows:(n / 8) ~cols:8
+    | _ -> Graph.expander ~n ~degree:(max 2 degree) ~seed
+  in
+  let n = Graph.n graph in
+  let m = Soa.create ~graph ~f ~seed ~delta ~eps:0.002 ~dispersion:0.5 ~n () in
+  List.iter (fun p -> if p < n then Soa.crash m p) crashed;
+  List.iter (fun p -> if p < n then Soa.set_pull m p 0.05) pulled;
+  m
+
+let sorted_floats l = List.sort Float.compare l
+
+let fill_tests =
+  [
+    qcheck
+      (QCheck2.Test.make ~count:300 ~print:print_fill
+         ~name:"run_shard rows are the reference arrivals minus delta" fill_gen
+         (fun ((_, _, _, _, _, _, _, cut) as case) ->
+           let m = fill_model case in
+           let n = Soa.n m and width = Soa.width m in
+           let cut = min cut (n - 1) in
+           let shards =
+             [ Soa.run_shard m ~lo:0 ~hi:cut; Soa.run_shard m ~lo:cut ~hi:n ]
+           in
+           let times, keys = Soa.events m in
+           let arrivals = Array.make n [] in
+           Array.iteri
+             (fun i k ->
+               if Soa.key_prio k = 0 then begin
+                 let dst = Soa.key_id k / Soa.stride m in
+                 arrivals.(dst) <- (times.(i) -. delta) :: arrivals.(dst)
+               end)
+             keys;
+           let row_ok (s : Soa.shard) dst =
+             let row = dst - s.Soa.lo in
+             let got = Array.sub s.Soa.slab (row * width) s.Soa.counts.(row) in
+             let want =
+               if Soa.is_ok m dst then Soa.broadcast_time m dst :: arrivals.(dst)
+               else []
+             in
+             sorted_floats (Array.to_list got) = sorted_floats want
+           in
+           List.for_all
+             (fun (s : Soa.shard) ->
+               List.for_all (row_ok s)
+                 (List.init (s.Soa.hi - s.Soa.lo) (( + ) s.Soa.lo)))
+             shards
+           && List.fold_left (fun acc s -> acc + s.Soa.count) 0 shards
+              = Array.length times));
+  ]
 
 let scale_model () =
   let m = Soa.create ~n:500 ~degree:7 ~f:2 ~seed:11 ~dispersion:0.5 () in
@@ -160,29 +229,28 @@ let scale_model () =
 let scale_tests =
   [
     t "trajectory and merge checksum are worker-count invariant" (fun () ->
+        (* The merge checksum through the reference oracle, the midpoint
+           digest through Scale.run; both drives share one trajectory. *)
         let run jobs =
           let m = scale_model () in
-          let s = Scale.run ~jobs ~rounds:3 m in
-          (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)
+          let events, merge = Scale.reference_run ~jobs ~rounds:3 m in
+          let s = Scale.run ~jobs ~rounds:3 (scale_model ()) in
+          check_int "round events match the reference stream" events
+            s.Scale.events;
+          check_true "both drives reach one state"
+            (Scale.state_checksum m = s.Scale.state);
+          (events, merge, s.Scale.checksum, s.Scale.state)
         in
-        let e1, c1, st1 = run 1 in
-        let e3, c3, st3 = run 3 in
-        let e4, c4, st4 = run 4 in
-        check_int "events 3 jobs" e1 e3;
-        check_int "events 4 jobs" e1 e4;
-        check_true "checksum 3 jobs" (c1 = c3);
-        check_true "checksum 4 jobs" (c1 = c4);
-        check_true "state 3 jobs" (st1 = st3);
-        check_true "state 4 jobs" (st1 = st4));
-    t "heap and wheel backends follow the same trajectory" (fun () ->
-        let run () =
-          let m = scale_model () in
-          let s = Scale.run ~jobs:1 ~rounds:2 m in
-          (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)
-        in
-        let wheel = with_engine_env "wheel" run in
-        let heap = with_engine_env "heap" run in
-        check_true "identical" (wheel = heap));
+        let e1, c1, d1, st1 = run 1 in
+        List.iter
+          (fun jobs ->
+            let e, c, d, st = run jobs in
+            let tag what = Printf.sprintf "%s %d jobs" what jobs in
+            check_int (tag "events") e1 e;
+            check_true (tag "merge checksum") (c1 = c);
+            check_true (tag "midpoint digest") (d1 = d);
+            check_true (tag "state") (st1 = st))
+          [ 3; 4 ]);
     t "reduced midpoint contracts the dispersion" (fun () ->
         let m = Soa.create ~n:400 ~degree:8 ~f:2 ~seed:2 ~dispersion:1.0 () in
         let s = Scale.run ~jobs:1 ~rounds:4 m in
@@ -197,8 +265,7 @@ let scale_tests =
   ]
 
 (* The satellite identity: a monitored experiment run - online theorem
-   checks live - still renders byte-identically at 1 and 4 workers on the
-   wheel backend. *)
+   checks live - still renders byte-identically at 1 and 4 workers. *)
 let monitored_identity_tests =
   [
     t "monitored E1 tables byte-identical at 1 and 4 workers" (fun () ->
@@ -220,19 +287,18 @@ let monitored_identity_tests =
           in
           (out, Mon.checks_performed mon, Mon.violations_total mon)
         in
-        with_engine_env "wheel" (fun () ->
-            let out1, checks1, viol1 = render 1 in
-            let out4, checks4, viol4 = render 4 in
-            check_true "tables nonempty" (String.length out1 > 0);
-            Alcotest.(check string) "tables" out1 out4;
-            check_int "monitor checks" checks1 checks4;
-            check_int "monitor violations" viol1 viol4;
-            check_int "no violations" 0 viol1));
+        let out1, checks1, viol1 = render 1 in
+        let out4, checks4, viol4 = render 4 in
+        check_true "tables nonempty" (String.length out1 > 0);
+        Alcotest.(check string) "tables" out1 out4;
+        check_int "monitor checks" checks1 checks4;
+        check_int "monitor violations" viol1 viol4;
+        check_int "no violations" 0 viol1);
   ]
 
 (* The observability tentpole's identity: the canonical binary trace of a
-   telemetry-on scale run is byte-identical at any worker count and on
-   either queue backend - and telemetry never perturbs the trajectory. *)
+   telemetry-on scale run is byte-identical at any worker count - and
+   telemetry never perturbs the trajectory. *)
 module Obs = Csync_obs.Registry
 module Record = Csync_obs.Record
 module Btrace = Csync_obs.Btrace
@@ -277,22 +343,13 @@ let btrace_bytes records =
 
 let trace_identity_tests =
   [
-    t "canonical binary trace byte-identical: jobs 1/4 x heap/wheel" (fun () ->
-        let capture engine jobs =
-          with_engine_env engine (fun () ->
-              captured ~jobs ~rounds:2 ~n:10_000 ())
-        in
-        let k1, r1 = capture "wheel" 1 in
-        let k4, r4 = capture "wheel" 4 in
-        let kh, rh = capture "heap" 1 in
+    t "canonical binary trace byte-identical: jobs 1/4" (fun () ->
+        let k1, r1 = captured ~jobs:1 ~rounds:2 ~n:10_000 () in
+        let k4, r4 = captured ~jobs:4 ~rounds:2 ~n:10_000 () in
         check_true "results identical across jobs" (k1 = k4);
-        check_true "results identical across backends" (k1 = kh);
         check_true "trace has telemetry" (List.length r1 > 3);
-        let b1 = btrace_bytes r1 in
         check_true "bytes identical across jobs"
-          (String.equal b1 (btrace_bytes r4));
-        check_true "bytes identical across backends"
-          (String.equal b1 (btrace_bytes rh)));
+          (String.equal (btrace_bytes r1) (btrace_bytes r4)));
     t "telemetry leaves the scale trajectory untouched" (fun () ->
         let plain = result_key (Scale.run ~jobs:2 ~rounds:2 (big_model ~n:2000 ())) in
         let traced, _ = captured ~jobs:2 ~rounds:2 ~n:2000 () in
@@ -312,6 +369,6 @@ let trace_identity_tests =
 let suite =
   List.concat
     [
-      sweep_tests; soa_tests; scale_tests; monitored_identity_tests;
+      sweep_tests; soa_tests; fill_tests; scale_tests; monitored_identity_tests;
       trace_identity_tests;
     ]

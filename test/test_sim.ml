@@ -306,25 +306,49 @@ let tie_break_tests =
         List.rev !order = expected);
   ]
 
-(* The timing wheel must be observationally identical to the reference heap
-   backend: same pop order (time, then prio class, then FIFO seq) over any
-   insertion pattern, including tie clusters, interleaved pops, adds behind
-   the current bucket window, and events past the wheel horizon (overflow
-   promotion).  Geometry is drawn randomly so tiny wheels (1-2 buckets,
-   narrow horizons) are exercised as hard as roomy ones. *)
+(* The timing wheel's pop order must be exactly that of a sorted-list
+   reference: pending entries kept in a list, each pop taking the head of
+   [List.stable_sort] on (time, prio, seq) - time, then prio class, then
+   FIFO insertion order.  Checked over any insertion pattern, including
+   tie clusters, interleaved pops, adds behind the current bucket window,
+   and events past the wheel horizon (overflow promotion).  Geometry is
+   drawn randomly so tiny wheels (1-2 buckets, narrow horizons) are
+   exercised as hard as roomy ones. *)
+module Sorted_ref = struct
+  type t = { mutable pending : (float * int * int * int) list; mutable seq : int }
+
+  let create () = { pending = []; seq = 0 }
+
+  let add r ~time ~prio id =
+    r.pending <- (time, prio, r.seq, id) :: r.pending;
+    r.seq <- r.seq + 1
+
+  let pop_if_before r ~until =
+    let by_key (ta, pa, sa, _) (tb, pb, sb, _) = compare (ta, pa, sa) (tb, pb, sb) in
+    match List.stable_sort by_key r.pending with
+    | (time, _, _, id) :: rest when time <= until ->
+      r.pending <- rest;
+      Some (time, id)
+    | _ -> None
+
+  let pop r = pop_if_before r ~until:Float.infinity
+
+  let size r = List.length r.pending
+end
+
 let wheel_tests =
-  let drain_both wheel heap =
+  let drain_both wheel reference =
     let ok = ref true in
     let more = ref true in
     while !more do
-      let a = Event_queue.pop wheel and b = Event_queue.pop heap in
+      let a = Event_queue.pop wheel and b = reference () in
       if a <> b then ok := false;
       if a = None && b = None then more := false
     done;
     !ok
   in
   [
-    qcheck ~count:500 ~name:"wheel pops exactly the heap's order"
+    qcheck ~count:500 ~name:"wheel pops exactly the sorted-list reference order"
       QCheck2.Gen.(
         triple
           (list_size (int_range 1 150)
@@ -340,10 +364,8 @@ let wheel_tests =
       (fun (ops, wi, bi) ->
         let width = [| 0.1; 0.3; 1.0; 5.0 |].(wi) in
         let buckets = [| 1; 2; 8; 64 |].(bi) in
-        let wheel =
-          Event_queue.create ~backend:(Wheel { width; buckets }) ()
-        in
-        let heap = Event_queue.create ~backend:Heap () in
+        let wheel = Event_queue.create ~geometry:{ width; buckets } () in
+        let reference = Sorted_ref.create () in
         let next_id = ref 0 in
         let ok = ref true in
         List.iter
@@ -352,16 +374,16 @@ let wheel_tests =
             | `Add (tm, p) ->
               let time = float_of_int tm *. 0.25 in
               Event_queue.add wheel ~time ~prio:p !next_id;
-              Event_queue.add heap ~time ~prio:p !next_id;
+              Sorted_ref.add reference ~time ~prio:p !next_id;
               incr next_id
             | `Pop ->
-              if Event_queue.pop wheel <> Event_queue.pop heap then
+              if Event_queue.pop wheel <> Sorted_ref.pop reference then
                 ok := false)
           ops;
         !ok
-        && Event_queue.size wheel = Event_queue.size heap
-        && drain_both wheel heap);
-    qcheck ~count:300 ~name:"wheel pop_if_before agrees with heap"
+        && Event_queue.size wheel = Sorted_ref.size reference
+        && drain_both wheel (fun () -> Sorted_ref.pop reference));
+    qcheck ~count:300 ~name:"wheel pop_if_before agrees with the sorted-list reference"
       QCheck2.Gen.(
         pair
           (list_size (int_range 1 80)
@@ -369,25 +391,25 @@ let wheel_tests =
           (list_size (int_range 1 40) (int_range 0 45)))
       (fun (adds, cuts) ->
         let wheel =
-          Event_queue.create ~backend:(Wheel { width = 0.5; buckets = 4 }) ()
+          Event_queue.create ~geometry:{ width = 0.5; buckets = 4 } ()
         in
-        let heap = Event_queue.create ~backend:Heap () in
+        let reference = Sorted_ref.create () in
         List.iteri
           (fun i (tm, prio) ->
             let time = float_of_int tm in
             Event_queue.add wheel ~time ~prio i;
-            Event_queue.add heap ~time ~prio i)
+            Sorted_ref.add reference ~time ~prio i)
           adds;
         List.for_all
           (fun cut ->
             let until = float_of_int cut in
             Event_queue.pop_if_before wheel ~until
-            = Event_queue.pop_if_before heap ~until)
+            = Sorted_ref.pop_if_before reference ~until)
           cuts
-        && drain_both wheel heap);
+        && drain_both wheel (fun () -> Sorted_ref.pop reference));
     t "overflow promotes in order across the horizon" (fun () ->
         let q =
-          Event_queue.create ~backend:(Wheel { width = 1.0; buckets = 4 }) ()
+          Event_queue.create ~geometry:{ width = 1.0; buckets = 4 } ()
         in
         (* Horizon is 4: times 0..40 force most adds through the overflow
            heap and back out via promotion as the epoch advances. *)
@@ -408,7 +430,7 @@ let wheel_tests =
           (List.rev !popped = List.sort compare times));
     t "iter_pop_until delivers in-window adds made by the callback" (fun () ->
         let q =
-          Event_queue.create ~backend:(Wheel { width = 0.5; buckets = 8 }) ()
+          Event_queue.create ~geometry:{ width = 0.5; buckets = 8 } ()
         in
         Event_queue.add q ~time:1. ~prio:0 `Seed;
         let seen = ref [] in
@@ -423,16 +445,14 @@ let wheel_tests =
         check_int "delivered both in-window events" 2 n;
         check_true "order" (List.rev !seen = [ (1., `Seed); (2., `Child) ]);
         check_int "late event still queued" 1 (Event_queue.size q));
-    t "backend_kind reflects creation choice" (fun () ->
-        let h = Event_queue.create ~backend:Heap () in
-        check_true "heap" (Event_queue.backend_kind h = Event_queue.Heap);
-        let w =
-          Event_queue.create ~backend:(Wheel { width = 0.5; buckets = 6 }) ()
-        in
+    t "geometry reflects creation choice" (fun () ->
+        check_true "default"
+          (Event_queue.geometry (Event_queue.create ())
+          = Event_queue.default_geometry);
+        let w = Event_queue.create ~geometry:{ width = 0.5; buckets = 6 } () in
         (* Bucket counts round up to a power of two. *)
         check_true "wheel rounded"
-          (Event_queue.backend_kind w
-          = Event_queue.Wheel { width = 0.5; buckets = 8 }));
+          (Event_queue.geometry w = { Event_queue.width = 0.5; buckets = 8 }));
     t "rejects out-of-range prio" (fun () ->
         check_raises_invalid "negative" (fun () ->
             Event_queue.add (Event_queue.create ()) ~time:1. ~prio:(-1) ());
@@ -443,13 +463,13 @@ let wheel_tests =
         check_raises_invalid "zero width" (fun () ->
             ignore
               (Event_queue.create
-                 ~backend:(Wheel { width = 0.; buckets = 4 })
+                 ~geometry:{ width = 0.; buckets = 4 }
                  ()
                 : unit Event_queue.t));
         check_raises_invalid "no buckets" (fun () ->
             ignore
               (Event_queue.create
-                 ~backend:(Wheel { width = 1.; buckets = 0 })
+                 ~geometry:{ width = 1.; buckets = 0 }
                  ()
                 : unit Event_queue.t)));
     t "expected capacity hint is behaviour-neutral" (fun () ->
@@ -460,7 +480,8 @@ let wheel_tests =
           Event_queue.add a ~time ~prio:(i land 1) i;
           Event_queue.add b ~time ~prio:(i land 1) i
         done;
-        check_true "same drain" (drain_both a b));
+        check_true "same drain"
+          (drain_both a (fun () -> Event_queue.pop b)));
   ]
 
 let delay_trace_tests =

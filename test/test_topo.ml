@@ -180,7 +180,13 @@ let gradient_tests =
 (* Golden trajectories recorded on the pre-topology scale stack (PR 7):
    replacing the hardcoded predecessor ring with Graph.ring must leave
    event counts, merge checksums and final state checksums bit-exact,
-   whether the ring is the implicit default or passed explicitly. *)
+   whether the ring is the implicit default or passed explicitly.  The
+   merge checksum comes from the canonical-order oracle
+   Scale.reference_run, which drives the same rounds. *)
+let golden_run ~rounds m =
+  let events, checksum = Scale.reference_run ~jobs:1 ~rounds m in
+  (events, checksum, Scale.state_checksum m)
+
 let golden_cases =
   [
     ( "n=500 faulty",
@@ -191,22 +197,19 @@ let golden_cases =
         Soa.crash m 17;
         Soa.set_pull m 42 0.3;
         Soa.set_pull m 499 (-0.2);
-        let s = Scale.run ~jobs:1 ~rounds:3 m in
-        (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
+        golden_run ~rounds:3 m),
       Graph.ring ~n:500 ~degree:7,
       (11907, -2303805237783978019, 3861587819302134822) );
     ( "n=1000 clean",
       (fun ?graph () ->
         let m = Soa.create ?graph ~n:1000 ~degree:8 ~f:2 ~seed:1 () in
-        let s = Scale.run ~jobs:1 ~rounds:2 m in
-        (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
+        golden_run ~rounds:2 m),
       Graph.ring ~n:1000 ~degree:8,
       (18000, 3668795842935423207, 1321678982338770021) );
     ( "n=64 small",
       (fun ?graph () ->
         let m = Soa.create ?graph ~n:64 ~degree:3 ~f:1 ~seed:7 () in
-        let s = Scale.run ~jobs:1 ~rounds:4 m in
-        (s.Scale.events, s.Scale.checksum, Scale.state_checksum m)),
+        golden_run ~rounds:4 m),
       Graph.ring ~n:64 ~degree:3,
       (1024, 110781624145683342, -2703970182535417761) );
   ]
