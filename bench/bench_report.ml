@@ -164,6 +164,14 @@ let bench_engine =
 let scale_model_1m =
   lazy (Csync_process.Soa.create ~n:1_000_000 ~degree:8 ~f:2 ~seed:1 ())
 
+(* The same ring in gradient mode: each process moves half way toward its
+   row midpoint, the correction rule the n = 10^6 gradient experiments
+   run. *)
+let gradient_model_1m =
+  lazy
+    (Csync_process.Soa.create ~n:1_000_000 ~degree:8 ~f:2 ~seed:1
+       ~mode:(Csync_process.Soa.Gradient_avg 0.5) ())
+
 let bench_round =
   let params = Csync_harness.Defaults.base () in
   let run_rounds ~exchanges =
@@ -178,10 +186,11 @@ let bench_round =
     ignore (Csync_harness.Scenario.run scenario)
   in
   (* The scale gate: one synchronization round of the struct-of-arrays
-     model at n = 10^5 on a degree-8 ring - 900k estimates filled straight
-     into their rows and swept.  The model persists across iterations
-     (each op simulates the next round); sharding follows the ambient job
-     count.  [bench_round_1m] is the same round at n = 10^6. *)
+     model at n = 10^5 on a degree-8 ring - 900k estimates, each row
+     filled into a scratch row and reduced on the spot.  The model
+     persists across iterations (each op simulates the next round);
+     sharding follows the ambient job count.  [bench_round_1m] runs the
+     same round at n = 10^6, in both correction modes. *)
   let scale_model =
     lazy (Csync_process.Soa.create ~n:100_000 ~degree:8 ~f:2 ~seed:1 ())
   in
@@ -214,15 +223,19 @@ let bench_round =
 
 (* Its own group, run after every other kernel: bechamel compacts the
    heap before each sample and counts that against the time quota, so
-   while this model is live the tiny kernels get too few samples to
-   resolve their ns/op.  The model is built outside the timed runs. *)
+   while these models are live the tiny kernels get too few samples to
+   resolve their ns/op.  The models are built outside the timed runs. *)
 let bench_round_1m =
+  let round name model =
+    Test.make_with_resource ~name Test.uniq
+      ~allocate:(fun () -> Lazy.force model)
+      ~free:ignore
+      (Staged.stage (fun m -> ignore (Csync_harness.Scale.round m)))
+  in
   Test.make_grouped ~name:"simulation"
     [
-      Test.make_with_resource ~name:"one-round-n1M" Test.uniq
-        ~allocate:(fun () -> Lazy.force scale_model_1m)
-        ~free:ignore
-        (Staged.stage (fun m -> ignore (Csync_harness.Scale.round m)));
+      round "one-round-n1M" scale_model_1m;
+      round "gradient-round-n1M" gradient_model_1m;
     ]
 
 (* The model checker's exploration loop, at a scope small enough to finish
@@ -422,7 +435,7 @@ let delivery_alloc () =
   if events <= 0 then Float.nan else words /. float_of_int events
 
 (* Struct-of-arrays round at n = 10^4: per-event churn of the sharded
-   scale path (slab fill, sweep, apply). *)
+   scale path (fused row fill and reduction, apply). *)
 let soa_alloc () =
   let model = Csync_process.Soa.create ~n:10_000 ~degree:8 ~f:2 ~seed:1 () in
   let events, _ = Csync_harness.Scale.round ~jobs:1 model in

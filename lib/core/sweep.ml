@@ -1,7 +1,10 @@
 (* Struct-of-arrays fault-tolerant averaging: the reduced-midpoint round
-   update of Section 4.1 applied row-by-row over a flat slab, with no
-   per-row arrays.  Csync_multiset is the reference implementation; the
-   test suite checks every slab result against it. *)
+   update of Section 4.1 applied row by row over flat float arrays, with
+   no per-row allocation.  A row is reduced the moment it is filled (the
+   scale round's scratch row) or a slab of rows at once ([sweep], the
+   layered reference); both go through [reduce_row].  Csync_multiset is
+   the reference implementation; the test suite checks every row result
+   against it. *)
 
 let g_of ~f ~count = if count <= 0 then 0 else min f ((count - 1) / 3)
 
@@ -25,10 +28,16 @@ let[@inline] mid_sorted slab ~off ~count ~g =
   (Array.unsafe_get slab (off + g) +. Array.unsafe_get slab (off + count - 1 - g))
   /. 2.
 
-let mid_row slab ~off ~count ~f =
-  if count <= 0 then invalid_arg "Sweep.mid_row: empty row";
-  sort_row slab ~off ~len:count;
-  mid_sorted slab ~off ~count ~g:(g_of ~f ~count)
+(* The midpoint is stored, not returned: a float result crossing a module
+   boundary is boxed unless the call is inlined, one allocation per row. *)
+let reduce_row slab ~off ~count ~f ~out ~at =
+  if count < 0 || off < 0 || off + count > Array.length slab then
+    invalid_arg "Sweep.reduce_row: row out of bounds";
+  if count = 0 then out.(at) <- Float.nan
+  else begin
+    sort_row slab ~off ~len:count;
+    out.(at) <- mid_sorted slab ~off ~count ~g:(g_of ~f ~count)
+  end
 
 let sweep ~slab ~width ~counts ~f ~out =
   let rows = Array.length counts in
@@ -37,10 +46,5 @@ let sweep ~slab ~width ~counts ~f ~out =
   for row = 0 to rows - 1 do
     let count = Array.unsafe_get counts row in
     if count < 0 || count > width then invalid_arg "Sweep.sweep: bad row count";
-    if count = 0 then Array.unsafe_set out row Float.nan
-    else begin
-      let off = row * width in
-      sort_row slab ~off ~len:count;
-      Array.unsafe_set out row (mid_sorted slab ~off ~count ~g:(g_of ~f ~count))
-    end
+    reduce_row slab ~off:(row * width) ~count ~f ~out ~at:row
   done

@@ -2,11 +2,13 @@
 
     {!Csync_core.Maintenance} computes each round's correction through
     {!Csync_multiset}: one sorted array per process per round.  At n in the
-    10^5 range that representation is cache-hostile - n small allocations
-    per round, pointer-chased.  This module applies the same
-    reduced-midpoint update over a single flat slab of estimates,
-    [width] floats per process, sorted and averaged in place with zero
-    allocation.
+    10^5-10^6 range that representation is cache-hostile - n small
+    allocations per round, pointer-chased.  This module applies the same
+    reduced-midpoint update to estimate rows held in flat float arrays,
+    sorted and averaged in place with zero allocation: one row at a time
+    ({!reduce_row}, what the scale round runs on each freshly filled
+    scratch row) or a slab of [width]-float rows at once ({!sweep}, the
+    layered reference).
 
     The degradation rule matches {!Maintenance}'s degraded average: a row
     that heard [count] estimates discards its [g = min f ((count - 1) / 3)]
@@ -23,19 +25,25 @@ val g_of : f:int -> count:int -> int
 val sort_row : float array -> off:int -> len:int -> unit
 (** Insertion-sort [slab.(off .. off+len-1)] ascending, in place:
     O(len + inversions), allocation-free, and the cheapest sort for the
-    short rows (in-degree + 1 estimates) the slab holds. *)
+    short rows (in-degree + 1 estimates) a round produces. *)
 
-val mid_row : float array -> off:int -> count:int -> f:int -> float
-(** Sort one row in place and return its reduced midpoint
-    [(row.(g) + row.(count-1-g)) / 2] with [g = g_of ~f ~count].
-    Agrees with [Csync_multiset.mid_reduced ~f:g] on the same values.
-    @raise Invalid_argument if [count <= 0]. *)
+val reduce_row :
+  float array -> off:int -> count:int -> f:int -> out:float array -> at:int ->
+  unit
+(** [reduce_row row ~off ~count ~f ~out ~at] sorts [row.(off ..
+    off+count-1)] in place and writes its reduced midpoint
+    [(row.(off+g) + row.(off+count-1-g)) / 2], [g = g_of ~f ~count], to
+    [out.(at)]; an empty row ([count = 0]) writes [nan].  Agrees with
+    [Csync_multiset.mid_reduced ~f:g] on the same values.  Stores rather
+    than returns the midpoint, so a caller in another module allocates
+    nothing either.
+    @raise Invalid_argument if the row is out of [row]'s bounds or [at]
+    out of [out]'s. *)
 
 val sweep :
   slab:float array -> width:int -> counts:int array -> f:int ->
   out:float array -> unit
 (** Row [i] of the slab is [slab.(i*width .. i*width + counts.(i) - 1)].
-    Sorts every row in place and writes its reduced midpoint to [out.(i)];
-    empty rows ([counts.(i) = 0]) write [nan].  Allocation-free.
+    {!reduce_row} on every row, into [out.(i)].  Allocation-free.
     @raise Invalid_argument if [f < 0], [out] is shorter than [counts],
     or any count is negative or exceeds [width]. *)

@@ -31,13 +31,16 @@ let run_list ?jobs ~quick experiments =
   let per_exp = List.map (fun e -> (e, Experiment.tasks ~quick e)) experiments in
   let flat = Array.of_list (List.concat_map snd per_exp) in
   let obs = Csync_obs.Registry.installed () in
+  let mon = Csync_obs.Monitor.installed () in
   let traced = Csync_obs.Registry.enabled obs in
   let run_task i =
     let label, thunk = flat.(i) in
     (* Prefix this cell's metrics with its label so cells don't collide.
        The label is worker-local (set here, on the worker executing the
-       task), so per-cell names are exact for any --jobs. *)
+       task), so per-cell names are exact for any --jobs; so are the
+       monitor's provenance ids and first violations, keyed by cell. *)
     if traced then Csync_obs.Registry.set_label obs label;
+    Csync_obs.Monitor.start_cell mon i;
     thunk ()
   in
   let pieces = Pool.init ~jobs (Array.length flat) run_task in

@@ -1,12 +1,15 @@
 (* Sharded driver for the struct-of-arrays cluster model.
 
-   A round at n = 10^5 is n(degree+1) events.  Because Soa's topology and
+   A round at n = 10^6 is n(degree+1) events.  Because Soa's topology and
    delays are pure functions of (seed, src, dst, round), destination ranges
-   are independent: each shard fills and sweeps its own slice of the
-   round's estimate rows, and no cross-shard messaging exists to
-   serialize.  Corrections are a positional stitch of per-destination
-   values that do not depend on shard boundaries, so Pool's index-ordered
-   results make the state trajectory byte-identical at any worker count.
+   are independent, and so are the rows inside one: a row's correction
+   reads nothing but that row.  Each worker therefore fills one
+   destination's estimates into a width-float scratch row that stays in
+   L1 and reduces it on the spot - the round never materialises a slab of
+   all its estimates.  Corrections are a positional stitch of
+   per-destination values that do not depend on shard boundaries, so
+   Pool's index-ordered results make the state trajectory byte-identical
+   at any worker count.
 
    Nothing orders events in time: a row's correction is a function of its
    estimate multiset.  The canonical (time, prio, stable id) event order
@@ -41,9 +44,9 @@ let resolve_jobs jobs =
    (zero contention), then folded into the registry in shard-index order.
    Everything recorded is a pure observation of [t]; the run itself is
    untouched, so results stay byte-identical with telemetry on or off. *)
-let observe_shard t sh (shard : Soa.shard) =
+let observe_shard t sh ~lo ~hi ~count =
   if Shard.active sh then begin
-    Shard.Counter.add (Shard.counter sh "scale.events") shard.Soa.count;
+    Shard.Counter.add (Shard.counter sh "scale.events") count;
     (* Delays live in [delta - eps, delta + eps] (~1e-2 at the paper's
        params); local skews span many decades as they contract round
        over round — both are log-histogram shaped. *)
@@ -53,7 +56,7 @@ let observe_shard t sh (shard : Soa.shard) =
     let skews =
       Shard.hist_log sh ~lo:1e-9 ~hi:1.0 ~per_decade:8 "scale.local_skew"
     in
-    for dst = shard.Soa.lo to shard.Soa.hi - 1 do
+    for dst = lo to hi - 1 do
       for j = 0 to Soa.in_degree t dst - 1 do
         let src = Soa.in_neighbor t ~dst j in
         if src <> dst then
@@ -62,6 +65,18 @@ let observe_shard t sh (shard : Soa.shard) =
       Shard.Hist.add skews (Soa.local_skew_at t dst)
     done
   end
+
+(* One shard of the round: fill each destination's row into [row] and
+   reduce it straight away.  Returns the shard's event count. *)
+let fill_and_reduce t ~lo ~hi ~row ~mids =
+  let hround = Soa.round_hash t and f = Soa.f t in
+  let count = ref 0 in
+  for dst = lo to hi - 1 do
+    let c = Soa.fill_row t ~hround ~dst row ~off:0 in
+    Sweep.reduce_row row ~off:0 ~count:c ~f ~out:mids ~at:(dst - lo);
+    count := !count + c
+  done;
+  !count
 
 (* Order-free digest of a shard's row midpoints: a sum of one hash per
    row, keyed by the destination, so shards combine by addition and the
@@ -83,24 +98,24 @@ let round ?jobs t =
   let results =
     Pool.init ~jobs shards (fun s ->
         let lo, hi = shard_bounds ~n ~shards s in
-        let sh = tele.(s) in
-        let shard =
-          Shard.Span.time (Shard.span sh "profile.fill") (fun () ->
-              Soa.run_shard t ~lo ~hi)
-        in
-        let mids = Array.make (hi - lo) Float.nan in
-        Shard.Span.time (Shard.span sh "profile.sweep") (fun () ->
-            Sweep.sweep ~slab:shard.Soa.slab ~width:(Soa.width t)
-              ~counts:shard.Soa.counts ~f:(Soa.f t) ~out:mids);
-        observe_shard t sh shard;
-        (lo, shard.Soa.count, mids, mids_digest ~lo mids))
+        let t0 = if Profile.active prof then Profile.now_ns () else 0 in
+        let row = Array.make (Soa.width t) 0. in
+        let mids = Array.create_float (hi - lo) in
+        let count = fill_and_reduce t ~lo ~hi ~row ~mids in
+        let ns = if Profile.active prof then Profile.now_ns () - t0 else 0 in
+        observe_shard t tele.(s) ~lo ~hi ~count;
+        (lo, count, mids, mids_digest ~lo mids, ns))
   in
-  let events = Array.fold_left (fun acc (_, c, _, _) -> acc + c) 0 results in
+  let events = Array.fold_left (fun acc (_, c, _, _, _) -> acc + c) 0 results in
   let digest =
-    mix (Array.fold_left (fun acc (_, _, _, d) -> acc + d) 0 results)
+    mix (Array.fold_left (fun acc (_, _, _, d, _) -> acc + d) 0 results)
   in
+  (* The fill phase ends when the slowest worker does. *)
+  if Profile.active prof then
+    Profile.record_ns prof Profile.Fill
+      (Array.fold_left (fun acc (_, _, _, _, ns) -> max acc ns) 0 results);
   Profile.time prof Profile.Apply (fun () ->
-      Array.iter (fun (lo, _, mids, _) -> Soa.apply t ~lo mids) results);
+      Array.iter (fun (lo, _, mids, _, _) -> Soa.apply t ~lo mids) results);
   Profile.time prof Profile.Advance (fun () -> Soa.advance t);
   (* Index-ordered fold keeps the merged telemetry — and with it the
      trace bytes — independent of which worker finished first. *)

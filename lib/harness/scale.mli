@@ -3,25 +3,29 @@
     across {!Pool} workers.
 
     Each round splits the destination space into contiguous shards, one
-    per worker; a shard fills its slice of the round's estimate rows
-    ({!Csync_process.Soa.run_shard}) and sweeps them with
-    {!Csync_core.Sweep}.  Results are stitched positionally, so the state
-    trajectory is byte-identical for any worker count - the same
-    invariant the experiment suite holds through {!Pool}.  No phase
-    orders events in time: a row's correction depends only on its
-    estimate multiset.  The canonical (time, prio, stable id) event order
-    is kept as a test oracle, {!reference_run}.
+    per worker.  A worker fills one destination's estimates at a time
+    into a private [width]-float scratch row
+    ({!Csync_process.Soa.fill_row}) and reduces that row at once
+    ({!Csync_core.Sweep.reduce_row}), so no slab of the round's estimates
+    is ever allocated: a round allocates its per-row midpoints and little
+    else.  Results are stitched positionally, so the state trajectory is
+    byte-identical for any worker count - the same invariant the
+    experiment suite holds through {!Pool}.  No phase orders events in
+    time: a row's correction depends only on its estimate multiset.  The
+    canonical (time, prio, stable id) event order is kept as a test
+    oracle, {!reference_run}.
 
     When the ambient {!Csync_obs.Registry} is enabled, each worker
     additionally fills a private telemetry shard ({!Csync_obs.Shard}:
     [scale.events], log-bucketed [scale.link_delay] / [scale.local_skew]
-    histograms, [profile.fill] / [profile.sweep] spans), folded into the
-    registry in shard-index order after the join; the orchestrator times
-    the apply/advance/shard-merge/checksum phases through
-    {!Csync_obs.Profile} and pushes per-round convergence series.  All of
-    it observes only - results are byte-identical with telemetry on or
-    off, and the merged trace is byte-identical at any [--jobs] (modulo
-    the wall-clock records a canonical trace drops). *)
+    histograms), folded into the registry in shard-index order after the
+    join.  Through {!Csync_obs.Profile} the orchestrator records the fill
+    phase (the slowest worker's fused fill-and-reduce time, one point per
+    round) and times the apply/advance/shard-merge/checksum phases, and it
+    pushes per-round convergence series.  All of it observes only -
+    results are byte-identical with telemetry on or off, and the merged
+    trace is byte-identical at any [--jobs] (modulo the wall-clock records
+    a canonical trace drops). *)
 
 val round : ?jobs:int -> Csync_process.Soa.t -> int * int
 (** Simulate one round across [jobs] shards (default

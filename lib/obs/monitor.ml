@@ -1,7 +1,7 @@
 (* Online theorem monitors.  The structure mirrors Registry: an enabled
    flag checked on every handle mint, permanent no-op handles, and a CAS
-   spinlock for the (rare) shared mutation — violation recording and
-   provenance ring writes.  Per-sample counters are atomics. *)
+   spinlock for the (rare) shared mutation, violation recording.
+   Per-sample counters are atomics; provenance is worker-local. *)
 
 type lock = bool Atomic.t
 
@@ -81,15 +81,16 @@ type violation = {
   provenance : (prov_entry * bool) list;
 }
 
+(* [first] carries the run-order index of the experiment cell that
+   recorded it (see [start_cell]). *)
 type cell = {
   evals : int Atomic.t;
   viols : int Atomic.t;
-  mutable first : violation option;
+  mutable first : (int * violation) option;
 }
 
-(* Provenance ids are minted from one shared atomic; the ring slot is
-   [id land (cap - 1)], and a stored entry is only trusted when its own
-   id matches the probe, so eviction degrades to [find = None] instead of
+(* A stored provenance entry is only trusted when its own id matches the
+   probe, so ring eviction degrades to [find = None] instead of
    misattribution. *)
 let ring_cap = 65536 (* power of two *)
 
@@ -99,9 +100,7 @@ type t = {
   on : bool array; (* indexed by check_index *)
   lock : lock;
   cells : cell array;
-  mutable first_overall : violation option;
-  prov_next : int Atomic.t;
-  ring : prov_entry option array;
+  mutable first_overall : (int * violation) option;
 }
 
 (* Worker-local side channels.  [staged_key] accumulates the chaos fault
@@ -126,11 +125,46 @@ let make_monitor ~enabled ~checks ~tighten =
       Array.init n_checks (fun _ ->
           { evals = Atomic.make 0; viols = Atomic.make 0; first = None });
     first_overall = None;
-    prov_next = Atomic.make 0;
-    ring = Array.make (if enabled then ring_cap else 1) None;
   }
 
 let none = make_monitor ~enabled:false ~checks:[] ~tighten:1.0
+
+(* Per-worker provenance state and the run-order index of the cell the
+   worker is running.  A cell runs wholly on one worker and every lookup
+   comes from the cell that minted the id, so counting ids from 0 in each
+   cell makes them - and what they resolve to - the same at any worker
+   count.  The state belongs to one monitor at a time ([owner]); a
+   different monitor starts it afresh. *)
+type local = {
+  mutable owner : t;
+  mutable next : int;
+  mutable ring : prov_entry option array;
+  mutable cell_index : int;
+}
+
+let local_key =
+  Tls.new_key (fun () ->
+      { owner = none; next = 0; ring = [||]; cell_index = 0 })
+
+let reset l =
+  Array.fill l.ring 0 (min l.next (Array.length l.ring)) None;
+  l.next <- 0;
+  l.cell_index <- 0
+
+let local t =
+  let l = Tls.get local_key in
+  if l.owner != t then begin
+    reset l;
+    l.owner <- t
+  end;
+  l
+
+let start_cell t index =
+  if t.enabled then begin
+    let l = local t in
+    reset l;
+    l.cell_index <- index
+  end
 
 let create ?(checks = all_checks) ?(tighten = 1.0) () =
   make_monitor ~enabled:true ~checks ~tighten
@@ -149,12 +183,16 @@ let current_label () = Registry.label (Registry.installed ())
 
 let bump t c = ignore (Atomic.fetch_and_add t.cells.(check_index c).evals 1)
 
+(* The first violation of the lowest-indexed cell wins, which is the
+   first one recorded when cells run in index order on one worker. *)
 let record t (v : violation) =
   let cell = t.cells.(check_index v.monitor) in
   ignore (Atomic.fetch_and_add cell.viols 1);
+  let k = (local t).cell_index in
+  let earlier = function None -> true | Some (k', _) -> k < k' in
   locked t.lock (fun () ->
-      if cell.first = None then cell.first <- Some v;
-      if t.first_overall = None then t.first_overall <- Some v)
+      if earlier cell.first then cell.first <- Some (k, v);
+      if earlier t.first_overall then t.first_overall <- Some (k, v))
 
 module Prov = struct
   type id = int
@@ -165,9 +203,12 @@ module Prov = struct
     if not t.enabled then null
     else begin
       let faults = List.rev (Tls.get staged_key) in
-      let id = Atomic.fetch_and_add t.prov_next 1 in
-      let e = { id; src; dst; sent; delay; faults } in
-      locked t.lock (fun () -> t.ring.(id land (ring_cap - 1)) <- Some e);
+      let l = local t in
+      if Array.length l.ring = 0 then l.ring <- Array.make ring_cap None;
+      let id = l.next in
+      l.next <- id + 1;
+      l.ring.(id land (ring_cap - 1)) <-
+        Some { id; src; dst; sent; delay; faults };
       id
     end
 
@@ -194,10 +235,12 @@ module Prov = struct
   let find t id =
     if (not t.enabled) || id < 0 then None
     else
-      locked t.lock (fun () ->
-          match t.ring.(id land (ring_cap - 1)) with
-          | Some e when e.id = id -> Some e
-          | _ -> None)
+      let l = local t in
+      if id >= l.next then None
+      else
+        match l.ring.(id land (ring_cap - 1)) with
+        | Some e when e.id = id -> Some e
+        | _ -> None
 end
 
 (* Bound comparisons tolerate float noise the same way the offline
@@ -538,13 +581,13 @@ let checks_performed t =
 let violations_total t =
   Array.fold_left (fun acc c -> acc + Atomic.get c.viols) 0 t.cells
 
-let first_violation t = locked t.lock (fun () -> t.first_overall)
+let first_violation t = locked t.lock (fun () -> Option.map snd t.first_overall)
 
 let results t =
   List.map
     (fun c ->
       let cell = t.cells.(check_index c) in
-      let first = locked t.lock (fun () -> cell.first) in
+      let first = locked t.lock (fun () -> Option.map snd cell.first) in
       (c, Atomic.get cell.evals, Atomic.get cell.viols, first))
     all_checks
 

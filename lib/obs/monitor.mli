@@ -69,7 +69,18 @@ val clear_installed : unit -> unit
     array of [Maintenance], and is resolved back into the message's
     (src, dst, sent, delay, faults) when an adjustment violation names
     it.  Entries live in a bounded ring; a violation resolves its ids
-    immediately, so eviction only affects post-hoc lookups. *)
+    immediately, so eviction only affects post-hoc lookups.
+
+    Ids and the ring are worker-local and count from 0 again at every
+    {!start_cell}: a cell runs wholly on one worker and resolves only
+    ids it minted itself, so its ids are the same at any [--jobs]. *)
+
+val start_cell : t -> int -> unit
+(** [start_cell t i] marks the calling worker as running the [i]-th cell
+    of an experiment run (in run order) and restarts its provenance ids
+    at 0.  A check's first violation is the earliest recorded by the
+    lowest-indexed cell - what a one-worker run records first - so it too
+    is independent of the worker count.  No-op when disabled. *)
 
 module Prov : sig
   type id = int
@@ -274,7 +285,8 @@ val checks_performed : t -> int
 val violations_total : t -> int
 
 val first_violation : t -> violation option
-(** The overall first violation recorded (by wall order of recording). *)
+(** The overall first violation: the earliest recorded by the
+    lowest-indexed cell ({!start_cell}). *)
 
 val results : t -> (check * int * int * violation option) list
 (** Per monitor in fixed order: (check, evaluations, violations, first

@@ -4,9 +4,9 @@
    state checksum); each gets a "profile.<phase>" span (count / total /
    max) and a "profile.<phase>.ns" series (one point per occurrence, so
    per-round phase times survive into the trace for [csync report]'s
-   profile table and [csync top]'s bars).  Workers time their own
-   fill/sweep via {!Shard.span} under the same names; both fold into
-   the same registry spans.
+   profile table and [csync top]'s bars).  The fill phase is timed
+   inside the scale workers (each fills and reduces its own rows) and
+   recorded once per round, at the slowest worker's time.
 
    The clock is [Unix.gettimeofday] in integer nanoseconds, clamped
    monotone through an atomic high-water mark: the stdlib exposes no
@@ -15,13 +15,12 @@
    inside a clock-synchronization testbed.  During a backward step the
    clock holds still, so affected durations read 0, never negative. *)
 
-type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Apply | Advance | Shard_merge | Checksum
 
-let phases = [ Fill; Sweep; Apply; Advance; Shard_merge; Checksum ]
+let phases = [ Fill; Apply; Advance; Shard_merge; Checksum ]
 
 let phase_name = function
   | Fill -> "fill"
-  | Sweep -> "sweep"
   | Apply -> "apply"
   | Advance -> "advance"
   | Shard_merge -> "shard_merge"
@@ -29,11 +28,10 @@ let phase_name = function
 
 let phase_index = function
   | Fill -> 0
-  | Sweep -> 1
-  | Apply -> 2
-  | Advance -> 3
-  | Shard_merge -> 4
-  | Checksum -> 5
+  | Apply -> 1
+  | Advance -> 2
+  | Shard_merge -> 3
+  | Checksum -> 4
 
 let last_ns = Atomic.make 0
 

@@ -12,13 +12,15 @@
     stdlib without C stubs), so durations are never negative — during a
     backward wall-clock step they read 0. *)
 
-type phase = Fill | Sweep | Apply | Advance | Shard_merge | Checksum
+type phase = Fill | Apply | Advance | Shard_merge | Checksum
 
 val phases : phase list
 (** In pipeline order. *)
 
 val phase_name : phase -> string
-(** ["fill"], ["sweep"], ... — the [<phase>] in the metric names. *)
+(** ["fill"], ["apply"], ... — the [<phase>] in the metric names.
+    [Fill] is a scale round's fused row fill and reduction, everything
+    the workers do. *)
 
 type t
 

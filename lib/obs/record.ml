@@ -198,23 +198,38 @@ let volatile_base base =
   || starts_with ~prefix:"profile." base
   || starts_with ~prefix:"obs.worker" base
 
+let event_label = function Event (name, _) -> fst (split_name name) | _ -> ""
+
 let canonical records =
-  List.filter_map
-    (fun r ->
-      match r with
-      (* Wall-clock timings and scheduling high-water marks depend on the
-         host and the worker count; everything kept below is a pure
-         function of the run's inputs. *)
-      | Span _ | Gauge _ -> None
-      | Counter (name, _) | Series (name, _, _) | Hist (name, _) ->
-        let _, base = split_name name in
-        if volatile_base base then None else Some r
-      | Manifest (Json.Obj fields) ->
-        Some
-          (Manifest
-             (Json.Obj
-                (List.filter
-                   (fun (k, _) -> not (List.mem k volatile_manifest_fields))
-                   fields)))
-      | Manifest _ | Event _ | Monitor _ | Unknown _ -> Some r)
-    records
+  let kept =
+    List.filter_map
+      (fun r ->
+        match r with
+        (* Wall-clock timings and scheduling high-water marks depend on the
+           host and the worker count; everything kept below is a pure
+           function of the run's inputs. *)
+        | Span _ | Gauge _ -> None
+        | Counter (name, _) | Series (name, _, _) | Hist (name, _) ->
+          let _, base = split_name name in
+          if volatile_base base then None else Some r
+        | Manifest (Json.Obj fields) ->
+          Some
+            (Manifest
+               (Json.Obj
+                  (List.filter
+                     (fun (k, _) -> not (List.mem k volatile_manifest_fields))
+                     fields)))
+        | Manifest _ | Event _ | Monitor _ | Unknown _ -> Some r)
+      records
+  in
+  (* Events of cells running on different workers interleave in arrival
+     order, while each cell's own events keep program order (a cell runs
+     on one worker).  Grouping them by cell label, stably, makes the order
+     independent of the worker count. *)
+  let events, rest =
+    List.partition (function Event _ -> true | _ -> false) kept
+  in
+  rest
+  @ List.stable_sort
+      (fun a b -> String.compare (event_label a) (event_label b))
+      events

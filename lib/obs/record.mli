@@ -61,5 +61,7 @@ val canonical : t list -> t list
 (** Restrict a trace to records that are a pure function of the run's
     inputs: drops spans and gauges (wall-clock / scheduling artifacts),
     metrics under the [pool.]/[profile.]/[obs.worker] base-name prefixes,
-    and {!volatile_manifest_fields} from the manifest.  Canonical traces
-    are byte-identical across [--jobs] and across host machines. *)
+    and {!volatile_manifest_fields} from the manifest, and moves events
+    last, grouped by cell label (each cell's in recording order).
+    Canonical traces are byte-identical across [--jobs] and across host
+    machines. *)

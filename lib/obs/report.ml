@@ -363,7 +363,7 @@ let render_hists ppf ~focus t =
 
 (* The scale pipeline's phase spans, in execution order within a round;
    phases a trace lacks are simply absent from the table. *)
-let phase_order = [ "fill"; "sweep"; "apply"; "checksum"; "advance" ]
+let phase_order = [ "fill"; "apply"; "checksum"; "advance" ]
 
 let phase_rank p =
   let rec go i = function

@@ -74,6 +74,12 @@ val monitors : t -> (string * monitor_rec) list
 val warnings : t -> string list
 (** Reader warnings: skipped unknown record kinds / manifest fields. *)
 
+val phase_rank : string -> int
+(** Position of a ["profile.<phase>"] span's [<phase>] in a scale round's
+    execution order (fill, apply, checksum, advance); unknown phases rank
+    after every known one.  The profile table and [csync top]'s bars sort
+    by it. *)
+
 val render : ?focus:string -> Format.formatter -> t -> unit
 (** Render the report: manifest, skew timelines, ADJ-per-round table,
     delay/skew histograms (via {!Csync_metrics.Histogram.render}), the

@@ -6,11 +6,12 @@
    system as parallel flat arrays (rate, offset, corr, status) and replays
    one synchronization round as a pure function of that state: broadcast
    times, hashed per-link delays and arrival estimates are all recomputed
-   from (seed, src, dst, round) rather than stored, so a shard of the
-   process space can be simulated with nothing but its own estimate rows:
-   each arrival's estimate is computed and written straight into its
-   destination's row, in any order, because a round's correction depends
-   only on the multiset of estimates.
+   from (seed, src, dst, round) rather than stored, so each destination's
+   estimate row can be computed alone: [fill_row] writes one row's
+   estimates, in any order, because a round's correction depends only on
+   the multiset of estimates.  Harness.Scale reduces each row in a
+   scratch row as soon as it is filled; [run_shard] fills a whole range
+   into one slab for the layered tests and measurements.
 
    Who hears whom is a Topo.Graph - the default is the same directed
    predecessor ring the model hardcoded before topologies existed (and
@@ -38,7 +39,7 @@ type mode = Midpoint | Gradient_avg of float
 type t = {
   n : int;
   graph : Graph.t;
-  width : int;  (* max in-degree + 1: slab row width and event-id stride *)
+  width : int;  (* max in-degree + 1: estimate-row width and event-id stride *)
   f : int;
   seed : int;
   hseed : int;  (* mix seed, hoisted out of every per-link hash *)
@@ -217,10 +218,37 @@ let shard_key ~prio ~id = (prio lsl prio_bits) lor id
 let key_prio k = k lsr prio_bits
 let key_id k = k land ((1 lsl prio_bits) - 1)
 
-(* Each arrival's estimate is written straight into its destination's row:
-   the sweep sorts every row, so the order estimates arrive in cannot move
-   a correction, and no event queue is needed.  The row order is adjacency
-   order (self first), not time order. *)
+(* One destination's estimate row, written at [row.(off ..)]: its own
+   broadcast in slot 0, then each live in-neighbour's estimate in
+   adjacency order (not time order).  Every reducer sorts the row, so the
+   order estimates land in cannot move a correction, and no event queue
+   is needed. *)
+let fill_row t ~hround ~dst row ~off =
+  if dst < 0 || dst >= t.n then invalid_arg "Soa.fill_row: dst out of range";
+  if off < 0 || off + t.width > Array.length row then
+    invalid_arg "Soa.fill_row: row too short";
+  if Array.unsafe_get t.status dst <> st_ok then 0
+  else begin
+    (* A process hears its own broadcast exactly. *)
+    Array.unsafe_set row off (broadcast_time t dst);
+    let c = ref 1 in
+    for j = 0 to in_degree t dst - 1 do
+      let src = in_neighbor t ~dst j in
+      if Array.unsafe_get t.status src <> st_crashed then begin
+        (* The estimate of the sender's round start is the arrival time
+           minus the nominal delay (Section 4's ARR - delta), off by at
+           most eps. *)
+        Array.unsafe_set row (off + !c)
+          (report_time t src +. delay t ~hround ~src ~dst -. t.delta);
+        incr c
+      end
+    done;
+    (* [c - 1] arrivals plus the row's round timer. *)
+    !c
+  end
+
+(* The layered form of a round's fill: every row of the range into one
+   slab, for tests and per-layer measurements to sweep separately. *)
 let run_shard t ~lo ~hi =
   if lo < 0 || hi > t.n || lo >= hi then invalid_arg "Soa.run_shard: bad range";
   let width = t.width in
@@ -229,26 +257,9 @@ let run_shard t ~lo ~hi =
   let counts = Array.make (hi - lo) 0 in
   let count = ref 0 in
   for dst = lo to hi - 1 do
-    if Array.unsafe_get t.status dst = st_ok then begin
-      let off = (dst - lo) * width in
-      (* A process hears its own broadcast exactly. *)
-      Array.unsafe_set slab off (broadcast_time t dst);
-      let c = ref 1 in
-      for j = 0 to in_degree t dst - 1 do
-        let src = in_neighbor t ~dst j in
-        if Array.unsafe_get t.status src <> st_crashed then begin
-          (* The estimate of the sender's round start is the arrival time
-             minus the nominal delay (Section 4's ARR - delta), off by at
-             most eps. *)
-          Array.unsafe_set slab (off + !c)
-            (report_time t src +. delay t ~hround ~src ~dst -. t.delta);
-          incr c
-        end
-      done;
-      Array.unsafe_set counts (dst - lo) !c;
-      (* [c - 1] arrivals plus the row's round timer. *)
-      count := !count + !c
-    end
+    let c = fill_row t ~hround ~dst slab ~off:((dst - lo) * width) in
+    Array.unsafe_set counts (dst - lo) c;
+    count := !count + c
   done;
   { lo; hi; count = !count; slab; counts }
 

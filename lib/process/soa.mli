@@ -121,8 +121,26 @@ val local_skew_at : t -> int -> float
 val link_delay : t -> src:int -> dst:int -> float
 (** The current round's network delay on edge [src -> dst] - the same
     deterministic draw from [[delta - eps, delta + eps]] that
-    {!run_shard} schedules with, exposed so telemetry can histogram the
+    {!fill_row} estimates with, exposed so telemetry can histogram the
     delay distribution without replaying the round. *)
+
+val round_hash : t -> int
+(** The current round's delay-hash seed: the [~hround] argument of
+    {!fill_row}, computed once per round rather than once per row. *)
+
+val fill_row : t -> hround:int -> dst:int -> float array -> off:int -> int
+(** [fill_row t ~hround:(round_hash t) ~dst row ~off] writes destination
+    [dst]'s estimate row for the current round at [row.(off ..)] and
+    returns its length: [dst]'s own broadcast time in slot 0, then
+    [report_time src + delay - delta] for each non-crashed in-neighbour
+    [src], in adjacency order.  A faulty [dst] gets no row and returns 0.
+    A nonzero result is also the row's event count (its arrivals plus its
+    round timer).  Rows are unsorted; {!Csync_core.Sweep} sorts and
+    reduces them, and the reduced midpoint depends only on the row's
+    multiset.  Allocation-free and read-only on [t]: rows of the same
+    round may be filled concurrently.
+    @raise Invalid_argument unless [0 <= dst < n] and [row] holds
+    [width] floats from [off]. *)
 
 type shard = {
   lo : int;
@@ -143,14 +161,14 @@ val key_prio : int -> int
 val key_id : int -> int
 
 val run_shard : t -> lo:int -> hi:int -> shard
-(** Simulate the current round for destinations [lo .. hi - 1]: every
-    nonfaulty row gets its own broadcast time in slot 0, then
-    [report_time src + delay - delta] for each non-crashed in-neighbour
-    [src], in adjacency order.  No event queue and no time ordering:
-    {!Csync_core.Sweep} sorts each row, and the reduced midpoint depends
-    only on the row's multiset.  Allocates the slab and counts, nothing
-    per event.  Read-only on [t]: shards of the same round may run
-    concurrently.
+(** The layered form of a round's fill: {!fill_row} for every destination
+    in [lo .. hi - 1], into consecutive [width]-float rows of one slab,
+    for {!Csync_core.Sweep.sweep} to reduce afterwards.  The simulation
+    path (Harness.Scale) never materialises the slab - it reduces each
+    row as soon as it is filled; this form is the reference the tests
+    compare that fused round against, and what the per-layer benchmark
+    times.  Allocates the slab and counts, nothing per event.  Read-only
+    on [t].
     @raise Invalid_argument unless [0 <= lo < hi <= n]. *)
 
 val events : t -> float array * int array
@@ -160,8 +178,8 @@ val events : t -> float array * int array
     destination a round timer keyed [shard_key ~prio:1 ~id:(dst * stride +
     stride - 1)] at the round horizon (the latest non-crashed
     {!report_time} plus [delta + eps]).  Destination-major, unsorted.
-    Sorted by (time, key) it is the canonical event order; [run_shard]'s
-    rows are its arrival times minus [delta].  A test oracle: it
+    Sorted by (time, key) it is the canonical event order; {!fill_row}'s
+    estimates are its arrival times minus [delta].  A test oracle: it
     materialises every event of the round, so it is O(n * degree) memory
     and never on the simulation path. *)
 
@@ -170,8 +188,8 @@ val apply : t -> lo:int -> float array -> unit
     broadcast toward its row midpoint [mids.(i)] by adjusting its
     correction variable - all the way under {!Midpoint}, a [gain]
     fraction of the way under {!Gradient_avg} ([nan] entries - empty
-    rows - are skipped).  Call after every shard of the round has been
-    swept, then {!advance}. *)
+    rows - are skipped).  Call after every row of the round has been
+    reduced, then {!advance}. *)
 
 val advance : t -> unit
 (** Move to the next round (later round targets, fresh hashed delays). *)

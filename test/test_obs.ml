@@ -1005,16 +1005,16 @@ let shard_profile_tests =
         let reg = Obs.create () in
         let p = Profile.create reg in
         check_true "active" (Profile.active p);
-        check_int "passthrough" 42 (Profile.time p Profile.Sweep (fun () -> 42));
-        Profile.record_ns p Profile.Sweep 1_000_000;
+        check_int "passthrough" 42 (Profile.time p Profile.Advance (fun () -> 42));
+        Profile.record_ns p Profile.Advance 1_000_000;
         (* A fresh profiler over the same registry continues the same
            interned instruments - the per-round case in Scale.round. *)
-        Profile.record_ns (Profile.create reg) Profile.Sweep 2_000_000;
+        Profile.record_ns (Profile.create reg) Profile.Advance 2_000_000;
         let rep = report_of_registry reg in
-        let spr = List.assoc "profile.sweep" (Report.spans rep) in
+        let spr = List.assoc "profile.advance" (Report.spans rep) in
         check_int "three occurrences" 3 spr.Report.count;
         let _, xs, ys =
-          List.find (fun (n, _, _) -> n = "profile.sweep.ns") (Report.series rep)
+          List.find (fun (n, _, _) -> n = "profile.advance.ns") (Report.series rep)
         in
         check_true "x is the occurrence index" (xs = [| 0.; 1.; 2. |]);
         check_float "recorded ns" 1_000_000. ys.(1);
@@ -1068,7 +1068,7 @@ let top_tests =
                 ( "cell/profile.fill",
                   { Record.count = 3; total_s = 0.3; max_s = 0.2 } );
               Record.Span
-                ( "cell/profile.sweep",
+                ( "cell/profile.apply",
                   { Record.count = 3; total_s = 0.1; max_s = 0.05 } );
               Record.Monitor
                 ("local_skew", { Record.checks = 10; violations = 0; first = None });
@@ -1084,7 +1084,7 @@ let top_tests =
           [
             "csync top — E16"; "seed 7"; "jobs 4"; "cell cell"; "round 3";
             "events 30"; "scale.spread"; "scale.events_per_round"; "fill";
-            "sweep"; "75"; "[ok]   local_skew"; "[FAIL] agreement";
+            "apply"; "75"; "[ok]   local_skew"; "[FAIL] agreement";
             "chaos.dropped";
           ];
         check_true "fill bar dominates"

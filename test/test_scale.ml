@@ -1,7 +1,7 @@
 (* The million-process simulation core: the struct-of-arrays sweep against
    its multiset reference, the SoA cluster model's determinism, the direct
-   row fill against the canonical event stream, and the sharded driver's
-   worker-count identities. *)
+   row fill against the canonical event stream, the fused round against
+   its layers, and the sharded driver's worker-count identities. *)
 
 module Sweep = Csync_core.Sweep
 module Graph = Csync_topo.Graph
@@ -32,8 +32,9 @@ let sweep_tests =
          (fun (f, row) ->
            let count = List.length row in
            let a = Array.of_list row in
-           let slab = Array.copy a in
-           let got = Sweep.mid_row slab ~off:0 ~count ~f in
+           let out = [| 0. |] in
+           Sweep.reduce_row (Array.copy a) ~off:0 ~count ~f ~out ~at:0;
+           let got = out.(0) in
            let g = Sweep.g_of ~f ~count in
            let want = Multiset.mid_reduced ~f:g (Multiset.of_array a) in
            got = want));
@@ -66,8 +67,11 @@ let sweep_tests =
         reject "short out" (fun () ->
             Sweep.sweep ~slab:[| 1.; 2. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
               ~out:[| 0. |]);
-        reject "empty mid_row" (fun () ->
-            ignore (Sweep.mid_row [| 1. |] ~off:0 ~count:0 ~f:0)));
+        reject "row past the slab" (fun () ->
+            Sweep.reduce_row [| 1. |] ~off:0 ~count:2 ~f:0 ~out:[| 0. |] ~at:0);
+        reject "slab shorter than its rows" (fun () ->
+            Sweep.sweep ~slab:[| 1. |] ~width:1 ~counts:[| 1; 1 |] ~f:0
+              ~out:[| 0.; 0. |]));
     t "sweep allocates nothing on a 10^4-row slab" (fun () ->
         let rows = 10_000 and width = 9 in
         (* Rows in descending order: the insertion sort does its most
@@ -165,7 +169,7 @@ let print_fill (n, degree, f, seed, topo, crashed, pulled, cut) =
 
 let delta = 0.01
 
-let fill_model (n, degree, f, seed, topo, crashed, pulled, _) =
+let fill_model ?mode (n, degree, f, seed, topo, crashed, pulled, _) =
   let graph =
     match topo with
     | 0 -> Graph.ring ~n ~degree:(min degree (n - 1))
@@ -173,7 +177,9 @@ let fill_model (n, degree, f, seed, topo, crashed, pulled, _) =
     | _ -> Graph.expander ~n ~degree:(max 2 degree) ~seed
   in
   let n = Graph.n graph in
-  let m = Soa.create ~graph ~f ~seed ~delta ~eps:0.002 ~dispersion:0.5 ~n () in
+  let m =
+    Soa.create ~graph ~f ~seed ~delta ~eps:0.002 ~dispersion:0.5 ?mode ~n ()
+  in
   List.iter (fun p -> if p < n then Soa.crash m p) crashed;
   List.iter (fun p -> if p < n then Soa.set_pull m p 0.05) pulled;
   m
@@ -217,6 +223,79 @@ let fill_tests =
              shards
            && List.fold_left (fun acc s -> acc + s.Soa.count) 0 shards
               = Array.length times));
+  ]
+
+(* The fused round against its layers: Scale.round fills and reduces one
+   scratch row at a time; the layered round fills a slab with run_shard,
+   sweeps it, applies and advances.  Two identically built models must
+   stay on one trajectory - event counts, state checksums and every
+   correction bit-equal - in both correction modes and at any job
+   count. *)
+let layered_round m =
+  let n = Soa.n m in
+  let s = Soa.run_shard m ~lo:0 ~hi:n in
+  let mids = Array.make n Float.nan in
+  Sweep.sweep ~slab:s.Soa.slab ~width:(Soa.width m) ~counts:s.Soa.counts
+    ~f:(Soa.f m) ~out:mids;
+  Soa.apply m ~lo:0 mids;
+  Soa.advance m;
+  s.Soa.count
+
+let fused_gen =
+  QCheck2.Gen.(
+    let* case = fill_gen in
+    let* mode =
+      oneofl [ Soa.Midpoint; Soa.Gradient_avg 0.5; Soa.Gradient_avg 1.0 ]
+    in
+    let* jobs = oneofl [ 1; 3 ] in
+    pure (case, mode, jobs))
+
+let print_fused (case, mode, jobs) =
+  Printf.sprintf "%s mode=%s jobs=%d" (print_fill case)
+    (match mode with
+    | Soa.Midpoint -> "midpoint"
+    | Soa.Gradient_avg g -> Printf.sprintf "gradient %g" g)
+    jobs
+
+let fused_tests =
+  [
+    qcheck
+      (QCheck2.Test.make ~count:200 ~print:print_fused
+         ~name:"fused round matches run_shard, sweep, apply, advance" fused_gen
+         (fun (case, mode, jobs) ->
+           let fused = fill_model ~mode case in
+           let layered = fill_model ~mode case in
+           let n = Soa.n fused in
+           List.for_all
+             (fun _ ->
+               let ev, _ = Scale.round ~jobs fused in
+               let ev' = layered_round layered in
+               ev = ev'
+               && Scale.state_checksum fused = Scale.state_checksum layered
+               && List.for_all
+                    (fun p ->
+                      Int64.equal
+                        (Int64.bits_of_float (Soa.corr fused p))
+                        (Int64.bits_of_float (Soa.corr layered p)))
+                    (List.init n Fun.id))
+             [ 1; 2; 3 ]));
+    t "fused round allocates under two words per process" (fun () ->
+        (* The layered round's slab alone is n * width words; the fused
+           round keeps its per-row midpoints and a scratch row per
+           worker. *)
+        let n = 10_000 in
+        let m = Soa.create ~n ~degree:8 ~f:2 ~seed:7 () in
+        ignore (Scale.round ~jobs:1 m);
+        let words () =
+          let minor, promoted, major = Gc.counters () in
+          minor +. major -. promoted
+        in
+        let before = words () in
+        ignore (Scale.round ~jobs:1 m);
+        let used = words () -. before in
+        check_true
+          (Printf.sprintf "%.0f words for n = %d" used n)
+          (used < 2. *. float_of_int n));
   ]
 
 let scale_model () =
@@ -264,36 +343,65 @@ let scale_tests =
         check_float "pull corr untouched" 0. (Soa.corr m 42));
   ]
 
-(* The satellite identity: a monitored experiment run - online theorem
-   checks live - still renders byte-identically at 1 and 4 workers. *)
+(* The monitored identity: an experiment run with telemetry on and the
+   online theorem checks live renders byte-identical tables at 1 and 4
+   workers, and its canonical registry and monitor records - first
+   violations and their message provenance included - are identical
+   too. *)
+let monitored ~quick ~jobs id =
+  let e =
+    List.filter
+      (fun e -> String.equal e.Csync_harness.Experiment.id id)
+      Registry.all
+  in
+  check_int (id ^ " exists") 1 (List.length e);
+  let reg = Csync_obs.Registry.create () in
+  let mon = Mon.create () in
+  Csync_obs.Registry.install reg;
+  Mon.install mon;
+  let tables =
+    Fun.protect
+      ~finally:(fun () ->
+        Csync_obs.Registry.clear_installed ();
+        Mon.clear_installed ())
+      (fun () ->
+        Registry.run_list ~jobs ~quick e
+        |> List.concat_map (fun (_, tables) ->
+               List.map Csync_metrics.Table.to_csv tables)
+        |> String.concat "\n")
+  in
+  let records =
+    Csync_obs.Registry.dump reg @ Mon.dump mon
+    |> List.filter_map (fun j -> Result.to_option (Csync_obs.Record.of_json j))
+    |> Csync_obs.Record.canonical
+    |> List.map (fun r -> Csync_obs.Json.to_string (Csync_obs.Record.to_json r))
+  in
+  (tables, records, Mon.checks_performed mon, Mon.violations_total mon)
+
+let check_identity ~quick id =
+  let out1, rec1, checks1, viol1 = monitored ~quick ~jobs:1 id in
+  let out4, rec4, checks4, viol4 = monitored ~quick ~jobs:4 id in
+  check_true "tables nonempty" (String.length out1 > 0);
+  Alcotest.(check string) "tables" out1 out4;
+  Alcotest.(check (list string)) "canonical records" rec1 rec4;
+  check_int "monitor checks" checks1 checks4;
+  check_int "monitor violations" viol1 viol4;
+  viol1
+
 let monitored_identity_tests =
   [
     t "monitored E1 tables byte-identical at 1 and 4 workers" (fun () ->
-        let e1 =
-          List.filter
-            (fun e -> String.equal e.Csync_harness.Experiment.id "E1")
-            Registry.all
-        in
-        check_int "E1 exists" 1 (List.length e1);
-        let render jobs =
-          let mon = Mon.create () in
-          Mon.install mon;
-          let out =
-            Fun.protect ~finally:Mon.clear_installed (fun () ->
-                Registry.run_list ~jobs ~quick:true e1
-                |> List.concat_map (fun (_, tables) ->
-                       List.map Csync_metrics.Table.to_csv tables)
-                |> String.concat "\n")
-          in
-          (out, Mon.checks_performed mon, Mon.violations_total mon)
-        in
-        let out1, checks1, viol1 = render 1 in
-        let out4, checks4, viol4 = render 4 in
-        check_true "tables nonempty" (String.length out1 > 0);
-        Alcotest.(check string) "tables" out1 out4;
-        check_int "monitor checks" checks1 checks4;
-        check_int "monitor violations" viol1 viol4;
-        check_int "no violations" 0 viol1);
+        check_int "no violations" 0 (check_identity ~quick:true "E1"));
+    (* Full mode: chaos (E13) and state corruption (E15) produce first
+       violations with provenance, which must not depend on which worker
+       minted what. *)
+    t "monitored E13 and E15 canonical records identical at 1 and 4 workers"
+      (fun () ->
+        List.iter
+          (fun id ->
+            check_true (id ^ " records violations")
+              (check_identity ~quick:false id > 0))
+          [ "E13"; "E15" ]);
   ]
 
 (* The observability tentpole's identity: the canonical binary trace of a
@@ -369,6 +477,6 @@ let trace_identity_tests =
 let suite =
   List.concat
     [
-      sweep_tests; soa_tests; fill_tests; scale_tests; monitored_identity_tests;
+      sweep_tests; soa_tests; fill_tests; fused_tests; scale_tests; monitored_identity_tests;
       trace_identity_tests;
     ]
