@@ -136,7 +136,8 @@ let writer_fn ?(flush = fun () -> ()) sink =
 let writer oc = writer_fn ~flush:(fun () -> flush oc) (output_string oc)
 
 (* Frame out a payload buffer.  Flushing every few records bounds how
-   stale a tailing reader ([csync top --follow]) can observe the file. *)
+   stale a reader of a capture still being written ([csync top]) can
+   observe the file. *)
 let emit_frame w buf =
   let frame = Buffer.create (Buffer.length buf + 5) in
   put_uvarint frame (Buffer.length buf);
@@ -447,25 +448,17 @@ exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-(* The intern table is shared between the channel reader and the
-   byte-feed reader; both decode payloads through the same core. *)
+(* The intern table the feed accumulates as STRDEF records arrive. *)
 type strtab = { mutable strings : string array; mutable nstrings : int }
 
 let strtab () = { strings = Array.make 64 ""; nstrings = 0 }
-
-type reader = { ic : in_channel; tab : strtab }
 
 (* A record payload never legitimately approaches this; a larger length
    prefix means a corrupt or non-btrace file, and failing early beats
    attempting a giant allocation. *)
 let max_record_len = 1 lsl 30
 
-let reader ic =
-  let m = Bytes.create (String.length magic) in
-  match really_input ic m 0 (String.length magic) with
-  | () when Bytes.to_string m = magic -> Ok { ic; tab = strtab () }
-  | () -> Error "not a csync-btrace/1 file (bad magic)"
-  | exception End_of_file -> Error "not a csync-btrace/1 file (truncated magic)"
+let bad_magic = "not a csync-btrace/1 trace (bad magic)"
 
 let add_string r s =
   if r.nstrings = Array.length r.strings then
@@ -675,43 +668,6 @@ let decode_payload tab payload len =
     (* unknown tag: length framing lets us skip it *)
     `Again
 
-(* Read the next record.  [`Truncated] means the file ends mid-record —
-   the channel is rewound to the record boundary, so a tailing caller can
-   retry after the writer appends more. *)
-let rec next r =
-  let start = pos_in r.ic in
-  let truncated () =
-    seek_in r.ic start;
-    `Truncated
-  in
-  (* The length prefix is read byte-by-byte so EOF inside it rewinds
-     cleanly. *)
-  let rec read_len shift acc =
-    match input_byte r.ic with
-    | exception End_of_file -> if shift = 0 && acc = 0 then `Eof else `Short
-    | b ->
-      if shift > 62 then `Bad "varint too long"
-      else
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then `Len acc else read_len (shift + 7) acc
-  in
-  match read_len 0 0 with
-  | `Eof -> `Eof
-  | `Short -> truncated ()
-  | `Bad msg -> `Error msg
-  | `Len len -> (
-    if len <= 0 || len > max_record_len then
-      `Error (Printf.sprintf "implausible record length %d" len)
-    else
-      let payload = Bytes.create len in
-      match really_input r.ic payload 0 len with
-      | exception End_of_file -> truncated ()
-      | () -> (
-        match decode_payload r.tab payload len with
-        | `Again -> next r
-        | `Record _ as res -> res
-        | exception Malformed msg -> `Error msg))
-
 (* ---------- byte-feed reader ---------- *)
 
 (* An incremental reader over an in-memory byte stream: the collector
@@ -772,7 +728,7 @@ let rec feed_next f =
       f.expect_magic <- false;
       feed_next f
     end
-    else `Error "stream does not start with csync-btrace/1 magic"
+    else `Error bad_magic
   else
     (* Parse the length prefix without consuming until the whole record
        is available. *)
@@ -812,30 +768,34 @@ let write_file path records =
       List.iter (write w) records;
       close_writer w)
 
+(* Files go through the same byte feed as the collector's datagrams,
+   one fixed-size chunk at a time, so memory stays bounded by a chunk
+   plus the largest record.  Bytes left in the feed at end of file are a
+   record cut short (a capture still being written, or a torn copy). *)
+let read_chunk = 65536
+
 let fold_file path ~init ~f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      match reader ic with
-      | Error e -> Error e
-      | Ok r ->
-        let rec go acc =
-          match next r with
-          | `Eof -> Ok acc
-          | `Truncated -> Error "truncated trace (file ends mid-record)"
-          | `Error e -> Error e
-          | `Record rec_ -> go (f acc rec_)
-        in
-        go init)
-
-let sniff_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = String.length magic in
-      let b = Bytes.create n in
-      match really_input ic b 0 n with
-      | () -> Bytes.to_string b = magic
-      | exception End_of_file -> false)
+      let fd = feed () in
+      let chunk = Bytes.create read_chunk in
+      let rec drain acc =
+        match feed_next fd with
+        | `Record r -> drain (f acc r)
+        | `Await -> Ok acc
+        | `Error e -> Error e
+      in
+      let rec go acc =
+        match input ic chunk 0 read_chunk with
+        | 0 ->
+          if fd.expect_magic then Error bad_magic
+          else if fd.flen > 0 then
+            Error "truncated trace (file ends mid-record)"
+          else Ok acc
+        | n -> (
+          feed_bytes fd (Bytes.sub_string chunk 0 n);
+          match drain acc with Ok acc -> go acc | Error _ as e -> e)
+      in
+      go init)

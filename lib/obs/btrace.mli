@@ -1,11 +1,12 @@
-(** [csync-btrace/1] — the streaming binary trace container.
+(** [csync-btrace/1] — the trace container.
 
-    A magic line followed by length-prefixed records; numeric metrics get
-    compact varint/binary64 bodies with label/base names interned in a
-    string table, while manifest/event/monitor records are carried as
-    embedded JSON text.  Roughly an order of magnitude smaller than the
-    equivalent JSONL at scale, and readable record-at-a-time in constant
-    memory.  See [btrace.ml] for the exact layout. *)
+    A magic line followed by length-prefixed {!Record.t} frames; numeric
+    metrics get compact varint/binary64 bodies with label/base names
+    interned in a string table, while manifest/event/monitor records are
+    carried as embedded JSON text.  Every capture, fleet merge and
+    emitter segment is btrace; [csync report --dump] is its text view
+    (one {!Record.to_json} object per line).  See [btrace.ml] for the
+    exact layout. *)
 
 val magic : string
 (** ["csync-btrace/1\n"], the file's first bytes. *)
@@ -37,30 +38,18 @@ val write_file : string -> Record.t list -> unit
 
 (** {2 Reading} *)
 
-type reader
-(** Streaming decoder state (the string table accumulated so far). *)
-
-val reader : in_channel -> (reader, string) result
-(** Checks the magic. *)
-
-val next :
-  reader ->
-  [ `Record of Record.t | `Eof | `Truncated | `Error of string ]
-(** Next record.  [`Eof] is a clean end at a record boundary;
-    [`Truncated] means the file currently ends mid-record — the channel
-    is rewound to the record boundary so a tailing caller ([csync top
-    --follow]) can retry after the writer appends more.  String-table and
-    unknown-tag records are consumed internally. *)
-
 val fold_file :
   string -> init:'a -> f:('a -> Record.t -> 'a) -> ('a, string) result
-(** Stream every record of a file through [f] in constant memory
-    (truncation is an error here, unlike {!next}). *)
+(** Stream every record of a file through [f], feeding fixed-size chunks
+    through a {!feed}: memory stays bounded by one chunk plus the largest
+    record.  [Error] on a missing or wrong magic (a zero-byte file
+    included), on a malformed record, and — ["truncated trace ..."] — on
+    a file that ends mid-record. *)
 
 (** {2 Incremental byte-feed reading}
 
-    For consumers that receive the stream in arbitrary chunks (the fleet
-    collector's datagrams) rather than from a seekable channel. *)
+    The one decoder: {!fold_file} drives it from a file, the fleet
+    collector from datagrams. *)
 
 type feed
 (** Buffered undecoded bytes plus the intern table built so far. *)
@@ -81,6 +70,3 @@ val feed_next : feed -> [ `Record of Record.t | `Await | `Error of string ]
 val feed_reset : feed -> unit
 (** Drop buffered bytes and the intern table, and expect the magic
     again — for a node stream that restarted from scratch. *)
-
-val sniff_file : string -> bool
-(** Whether the file starts with the btrace magic. *)

@@ -6,11 +6,7 @@
 
 let section ppf title = Format.fprintf ppf "@.== %s ==@.@." title
 
-let split_name name =
-  match String.rindex_opt name '/' with
-  | None -> ("", name)
-  | Some i ->
-    (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+let split_name = Record.split_name
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix

@@ -1,4 +1,4 @@
-(** Cross-run trace diffing: [csync report --diff a.jsonl b.jsonl].
+(** Cross-run trace diffing: [csync report --diff a.btrace b.btrace].
 
     Two captured traces are aligned by manifest and by metric name; the
     rendering shows what changed between the runs — manifest drift

@@ -294,9 +294,12 @@ val results : t -> (check * int * int * violation option) list
 
 val check_name : check -> string
 
+val records : t -> Record.t list
+(** One {!Record.Monitor} per configured check, in {!all_checks} order,
+    for appending to a [csync trace] capture. *)
+
 val dump : t -> Json.t list
-(** One [{"record":"monitor", ...}] JSON object per configured check,
-    for appending to a [csync trace] JSONL capture. *)
+(** [List.map Record.to_json (records t)]. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line-per-monitor human summary (used by the CLI after a

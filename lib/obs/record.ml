@@ -1,13 +1,9 @@
-(* The typed trace-record model shared by every reader and writer: the
-   JSONL format ([csync-trace/1], one object per line) and the binary
-   format ([csync-btrace/1], {!Btrace}) are two serializations of this
-   one type, and {!Report} folds a stream of them regardless of which
-   container they came from.
-
-   [of_json]/[to_json] round-trip exactly: [to_json] reproduces the
-   field order {!Registry.dump} and {!Monitor.dump} emit, so a JSONL
-   trace rewritten through records is byte-identical to one written
-   directly. *)
+(* The typed trace-record model: the one schema behind every trace.
+   The registry and the monitors build records directly, btrace
+   ([csync-btrace/1], {!Btrace}) is their one container, and {!Report}
+   folds a stream of them.  [to_json] is the [csync-trace/1] object
+   btrace embeds for free-form records and [csync report --dump] prints;
+   [of_json] inverts it exactly. *)
 
 type hist_rec = {
   lo : float;

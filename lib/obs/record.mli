@@ -1,11 +1,10 @@
-(** Typed trace records — the common model behind both trace
-    serializations: JSONL ([csync-trace/1]) and binary ([csync-btrace/1],
-    {!Btrace}).  {!Report} folds a stream of these regardless of
-    container.
+(** Typed trace records — the one schema every trace path shares.
+    {!Registry.records} and {!Monitor.records} build them, {!Btrace}
+    stores them, {!Report} folds them, and [csync report --dump] prints
+    each as one {!to_json} object per line.
 
-    {!of_json} and {!to_json} round-trip byte-exactly through
-    {!Json.to_string}: [to_json] reproduces the field order
-    {!Registry.dump} and {!Monitor.dump} emit. *)
+    [of_json (to_json r) = Ok r] for every record the writers produce
+    (integers within binary64's exact range). *)
 
 type hist_rec = {
   lo : float;
@@ -40,7 +39,9 @@ val of_json : Json.t -> (t, string) result
     [Error] only on a missing/malformed field of a known kind. *)
 
 val to_json : t -> Json.t
-(** Inverse of {!of_json}; {!Manifest} and {!Unknown} pass their
+(** The [csync-trace/1] JSON object ([{"record":<kind>, ...}]): the body
+    btrace embeds for manifest/event/unknown records and the line
+    [csync report --dump] prints.  {!Manifest} and {!Unknown} pass their
     original JSON through untouched. *)
 
 val split_name : string -> string * string

@@ -312,106 +312,59 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let dump t =
+let records t =
   locked t.rlock (fun () ->
       let counters =
         sorted_bindings t.counters
-        |> List.map (fun (name, a) ->
-               Json.Obj
-                 [
-                   ("record", Json.Str "counter");
-                   ("name", Json.Str name);
-                   ("value", Json.num_of_int (Atomic.get a));
-                 ])
+        |> List.map (fun (name, a) -> Record.Counter (name, Atomic.get a))
+      in
+      let dropped =
+        if t.events_dropped = 0 then []
+        else [ Record.Counter ("obs.events_dropped", t.events_dropped) ]
       in
       let gauges =
         sorted_bindings t.gauges
         |> List.filter_map (fun (name, c) ->
-               if not c.gset then None
-               else
-                 Some
-                   (Json.Obj
-                      [
-                        ("record", Json.Str "gauge");
-                        ("name", Json.Str name);
-                        ("value", Json.Num c.gv);
-                      ]))
+               if c.gset then Some (Record.Gauge (name, c.gv)) else None)
       in
       let series =
         sorted_bindings t.series_tbl
         |> List.map (fun (name, c) ->
-               let take a = List.init c.sn (fun i -> Json.Num a.(i)) in
-               Json.Obj
-                 [
-                   ("record", Json.Str "series");
-                   ("name", Json.Str name);
-                   ("xs", Json.Arr (take c.sx));
-                   ("ys", Json.Arr (take c.sy));
-                 ])
+               Record.Series
+                 (name, Array.sub c.sx 0 c.sn, Array.sub c.sy 0 c.sn))
       in
       let hists =
         sorted_bindings t.hists
         |> List.map (fun (name, c) ->
                let h = c.hh in
                let lo, hi = Histogram.range h in
-               let counts =
-                 List.init (Histogram.bins h) (fun i ->
-                     Json.num_of_int (Histogram.bin_count h i))
-               in
-               let scheme =
-                 match Histogram.per_decade h with
-                 | None -> []
-                 | Some pd -> [ ("per_decade", Json.num_of_int pd) ]
-               in
-               Json.Obj
-                 ([
-                    ("record", Json.Str "hist");
-                    ("name", Json.Str name);
-                    ("lo", Json.Num lo);
-                    ("hi", Json.Num hi);
-                  ]
-                 @ scheme
-                 @ [
-                     ("counts", Json.Arr counts);
-                     ("underflow", Json.num_of_int (Histogram.underflow h));
-                     ("overflow", Json.num_of_int (Histogram.overflow h));
-                     ("invalid", Json.num_of_int (Histogram.invalid h));
-                     ("total", Json.num_of_int (Histogram.count h));
-                   ]))
+               Record.Hist
+                 ( name,
+                   {
+                     Record.lo;
+                     hi;
+                     per_decade = Histogram.per_decade h;
+                     counts = Array.init (Histogram.bins h) (Histogram.bin_count h);
+                     underflow = Histogram.underflow h;
+                     overflow = Histogram.overflow h;
+                     invalid = Histogram.invalid h;
+                     total = Histogram.count h;
+                   } ))
       in
       let spans =
         sorted_bindings t.spans
         |> List.map (fun (name, c) ->
-               Json.Obj
-                 [
-                   ("record", Json.Str "span");
-                   ("name", Json.Str name);
-                   ("count", Json.num_of_int c.pcount);
-                   ("total_s", Json.Num (float_of_int c.ptotal_ns /. 1e9));
-                   ("max_s", Json.Num (float_of_int c.pmax_ns /. 1e9));
-                 ])
+               Record.Span
+                 ( name,
+                   {
+                     Record.count = c.pcount;
+                     total_s = float_of_int c.ptotal_ns /. 1e9;
+                     max_s = float_of_int c.pmax_ns /. 1e9;
+                   } ))
       in
       let events =
-        List.rev_map
-          (fun e ->
-            Json.Obj
-              [
-                ("record", Json.Str "event");
-                ("name", Json.Str e.ev_name);
-                ("fields", Json.Obj e.ev_fields);
-              ])
-          t.events
-      in
-      let dropped =
-        if t.events_dropped = 0 then []
-        else
-          [
-            Json.Obj
-              [
-                ("record", Json.Str "counter");
-                ("name", Json.Str "obs.events_dropped");
-                ("value", Json.num_of_int t.events_dropped);
-              ];
-          ]
+        List.rev_map (fun e -> Record.Event (e.ev_name, Json.Obj e.ev_fields)) t.events
       in
       counters @ dropped @ gauges @ series @ hists @ spans @ events)
+
+let dump t = List.map Record.to_json (records t)

@@ -157,7 +157,11 @@ val event : t -> string -> (string * Json.t) list -> unit
 (** Append a structured event (capped at 65536 per run; overflow is
     counted and reported as [obs.events_dropped]). *)
 
+val records : t -> Record.t list
+(** Every record, deterministically ordered: counters, the
+    [obs.events_dropped] counter (when events overflowed), gauges,
+    series, histograms, spans (each sorted by name), then events in
+    emission order. *)
+
 val dump : t -> Json.t list
-(** One JSON object per record, deterministically ordered: counters,
-    gauges, series, histograms, spans (each sorted by name), then events
-    in emission order. *)
+(** [List.map Record.to_json (records t)]. *)

@@ -10,23 +10,16 @@ module Histogram = Csync_metrics.Histogram
    the parallel region, folded into the registry afterward by the
    orchestrator.
 
-   Merging is the caller's job and MUST happen in shard-index order on
-   the orchestrating thread (after the join, under the cell's label):
-   counters, histograms and spans commute, but series points append, so
-   a canonical fold order is what keeps traces byte-identical at any
-   [--jobs].  Each instrument cell merges with one registry operation
-   (counter add, histogram bin-fold, span fold, series bulk append), so
+   Merging is the caller's job and MUST happen on the orchestrating
+   thread (after the join, under the cell's label), shard 0, 1, ... in
+   turn.  Counters, histograms and spans commute, so the folded trace is
+   byte-identical at any [--jobs].  Each instrument cell merges with one
+   registry operation (counter add, histogram bin-fold, span fold), so
    merge cost is per-cell, not per-observation. *)
 
 type counter_cell = { mutable cv : int }
 
-type hist_cell = { hh : Histogram.t }
-
-type series_cell = {
-  mutable sx : float array;
-  mutable sy : float array;
-  mutable sn : int;
-}
+type hist_cell = { hh : Histogram.t; per_decade : int }
 
 type span_cell = {
   mutable pcount : int;
@@ -37,7 +30,6 @@ type span_cell = {
 type cell =
   | Ccell of counter_cell
   | Hcell of hist_cell
-  | Scell of series_cell
   | Pcell of span_cell
 
 type shard = {
@@ -99,50 +91,16 @@ module Hist = struct
   let count = function Noop -> 0 | H c -> Histogram.count c.hh
 end
 
-let hist_cell t name make =
+let hist_log t ~lo ~hi ~per_decade name =
   match t with
   | Disabled -> Hist.Noop
   | On s -> (
-    match intern s name (fun () -> Hcell { hh = make () }) with
+    match
+      intern s name (fun () ->
+          Hcell { hh = Histogram.log ~lo ~hi ~per_decade; per_decade })
+    with
     | Hcell c -> Hist.H c
-    | _ -> invalid_arg ("Shard.hist: name already bound: " ^ name))
-
-let hist t ~lo ~hi ~bins name =
-  hist_cell t name (fun () -> Histogram.create ~lo ~hi ~bins)
-
-let hist_log t ~lo ~hi ~per_decade name =
-  hist_cell t name (fun () -> Histogram.log ~lo ~hi ~per_decade)
-
-module Series = struct
-  type handle = Noop | S of series_cell
-
-  let noop = Noop
-
-  let active = function Noop -> false | S _ -> true
-
-  let push h x y =
-    match h with
-    | Noop -> ()
-    | S c ->
-      let cap = Array.length c.sx in
-      if c.sn = cap then begin
-        let cap' = max 16 (2 * cap) in
-        let grow a = Array.append a (Array.make (cap' - cap) 0.) in
-        c.sx <- grow c.sx;
-        c.sy <- grow c.sy
-      end;
-      c.sx.(c.sn) <- x;
-      c.sy.(c.sn) <- y;
-      c.sn <- c.sn + 1
-end
-
-let series t name =
-  match t with
-  | Disabled -> Series.Noop
-  | On s -> (
-    match intern s name (fun () -> Scell { sx = [||]; sy = [||]; sn = 0 }) with
-    | Scell c -> Series.S c
-    | _ -> invalid_arg ("Shard.series: name already bound: " ^ name))
+    | _ -> invalid_arg ("Shard.hist_log: name already bound: " ^ name))
 
 module Span = struct
   type handle = Noop | P of span_cell
@@ -186,9 +144,7 @@ let span t name =
 let merge = function
   | Disabled -> ()
   | On s ->
-    (* Creation order (a worker creates its cells deterministically), so
-       series points land in the registry in a reproducible order; the
-       caller supplies the cross-shard order by merging shard 0, 1, ... *)
+    (* Creation order: a deterministic walk of the cell table. *)
     List.iter
       (fun name ->
         match Hashtbl.find s.cells name with
@@ -197,20 +153,9 @@ let merge = function
         | Hcell c ->
           if Histogram.count c.hh > 0 then begin
             let lo, hi = Histogram.range c.hh in
-            let h =
-              match Histogram.per_decade c.hh with
-              | None ->
-                Registry.hist s.reg ~lo ~hi ~bins:(Histogram.bins c.hh) name
-              | Some per_decade -> Registry.hist_log s.reg ~lo ~hi ~per_decade name
-            in
-            Registry.Hist.merge h c.hh
-          end
-        | Scell c ->
-          if c.sn > 0 then begin
-            let h = Registry.series s.reg name in
-            for i = 0 to c.sn - 1 do
-              Registry.Series.push h c.sx.(i) c.sy.(i)
-            done
+            Registry.Hist.merge
+              (Registry.hist_log s.reg ~lo ~hi ~per_decade:c.per_decade name)
+              c.hh
           end
         | Pcell c ->
           if c.pcount > 0 then

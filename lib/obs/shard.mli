@@ -5,9 +5,9 @@
     per-event instrumentation (histogram adds at n = 10^5) costs a
     branch and a store instead of contending on the shared registry's
     atomics.  Afterwards the {e orchestrator} folds each shard into the
-    registry with {!merge} — in shard-index order, which is what keeps
-    trace output byte-identical at any [--jobs] (counters, histograms
-    and spans commute; series points append in fold order).
+    registry with {!merge}, in shard-index order; the kinds a shard
+    holds (counters, log histograms, spans) commute, so trace output is
+    byte-identical at any [--jobs].
 
     Handles minted from a disabled registry's shard ({!create} on
     {!Registry.none}) are permanent no-ops; the disabled hot path is one
@@ -47,16 +47,6 @@ module Hist : sig
   val count : handle -> int
 end
 
-module Series : sig
-  type handle
-
-  val noop : handle
-
-  val active : handle -> bool
-
-  val push : handle -> float -> float -> unit
-end
-
 module Span : sig
   type handle
 
@@ -75,17 +65,14 @@ end
 
 val counter : t -> string -> Counter.handle
 
-val hist : t -> lo:float -> hi:float -> bins:int -> string -> Hist.handle
-
 val hist_log : t -> lo:float -> hi:float -> per_decade:int -> string -> Hist.handle
-
-val series : t -> string -> Series.handle
+(** Log-bucketed, like {!Registry.hist_log}. *)
 
 val span : t -> string -> Span.handle
 
 val merge : t -> unit
 (** Fold every cell into the registry (one registry operation per cell:
-    counter add, histogram bin-fold, span fold, series bulk append).
+    counter add, histogram bin-fold, span fold).
     Call from the orchestrating thread after the parallel region, in
     shard-index order, under the owning cell's label.  No-op on a
     disabled shard. *)

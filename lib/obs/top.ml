@@ -1,12 +1,11 @@
 (* csync top — a live terminal view over a trace file.
 
-   top is a trace *viewer*, not a second telemetry channel: it tails the
-   file csync trace is writing (or re-reads a finished one), folds it
-   into a {!Report.t} in constant memory, and redraws one frame in place
-   with an ANSI clear.  The btrace reader's [`Truncated] contract (rewind
-   to the record boundary) is what makes tailing a live binary trace
-   safe: a half-written record renders as "capture in progress" rather
-   than an error, and the next refresh picks it up whole. *)
+   top is a trace *viewer*, not a second telemetry channel: each refresh
+   reloads the file csync trace (or the collector) is writing through
+   {!Report.of_file} and redraws one frame in place with an ANSI clear.
+   A reload that ends mid-record fails as truncated; the last good frame
+   renders with a "capture in progress" note, and the next refresh picks
+   the record up whole. *)
 
 module MSeries = Csync_metrics.Series
 
@@ -258,11 +257,7 @@ let clear_screen = "\027[2J\027[H"
 
 (* A btrace being written can legitimately end mid-record; render the
    last good frame (or a waiting notice) instead of failing. *)
-let load path =
-  match Report.of_file path with
-  | Ok t -> Ok t
-  | Error e -> Error e
-  | exception Sys_error e -> Error e
+let load path = try Report.of_file path with Sys_error e -> Error e
 
 let watch ?focus ?(interval = 1.0) ?(fleet = false) ~once path =
   let interval = Float.max 0.1 interval in

@@ -10,6 +10,7 @@ module Report = Csync_obs.Report
 module Mon = Csync_obs.Monitor
 module Diff = Csync_obs.Diff
 module Record = Csync_obs.Record
+module Btrace = Csync_obs.Btrace
 open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
@@ -24,6 +25,27 @@ let with_installed reg f =
 let with_monitor mon f =
   Mon.install mon;
   Fun.protect ~finally:Mon.clear_installed f
+
+let with_tmp suffix f =
+  let path = Filename.temp_file "csync_test" suffix in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* Records through the trace container and back: what csync trace
+   writes and csync report reads. *)
+let report_of_btrace records =
+  with_tmp ".btrace" (fun path ->
+      Btrace.write_file path records;
+      Report.of_file path)
 
 let json_tests =
   [
@@ -136,13 +158,14 @@ let registry_tests =
         Obs.Hist.add h Float.nan;
         Obs.event r "ev" [ ("k", Json.Str "v") ];
         let dump = Obs.dump r in
-        let lines = List.map Json.to_string dump in
         List.iter
-          (fun line ->
-            match Report.check_line line with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "bad record %s: %s" line e)
-          lines;
+          (fun j ->
+            match Record.of_json j with
+            | Ok (Record.Unknown (kind, _)) ->
+              Alcotest.failf "unknown record kind %s" kind
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "bad record %s: %s" (Json.to_string j) e)
+          dump;
         let counter_names =
           List.filter_map
             (fun j ->
@@ -177,8 +200,9 @@ let manifest_tests =
           (Json.member "schema" m = Some (Json.Str Manifest.schema));
         check_true "seed"
           (Option.bind (Json.member "seed" m) Json.to_int = Some 7);
-        match Report.check_line (Json.to_string m) with
-        | Ok () -> ()
+        match Record.of_json m with
+        | Ok (Record.Manifest _) -> ()
+        | Ok _ -> Alcotest.fail "manifest decoded as another kind"
         | Error e -> Alcotest.failf "manifest rejected: %s" e);
   ]
 
@@ -193,11 +217,11 @@ let report_tests =
             { scenario with Csync_harness.Scenario.rounds = 6 }
         in
         let _ = with_installed r run in
-        let lines =
-          Json.to_string (Manifest.make ~target:"test" ~seed:42 ~jobs:1 ~quick:true ())
-          :: List.map Json.to_string (Obs.dump r)
+        let records =
+          Record.Manifest (Manifest.make ~target:"test" ~seed:42 ~jobs:1 ~quick:true ())
+          :: Obs.records r
         in
-        match Report.of_lines lines with
+        match report_of_btrace records with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok parsed ->
           let out = Format.asprintf "%a" (Report.render ?focus:None) parsed in
@@ -206,21 +230,17 @@ let report_tests =
           check_true "adj table" (contains out "ADJ per round");
           check_true "delay histogram" (contains out "net.delay");
           check_true "sim counter" (contains out "sim.events"));
-    t "malformed lines are rejected with a line number" (fun () ->
-        match Report.of_lines [ "{\"record\":\"manifest\"}"; "{oops" ] with
-        | Ok _ -> Alcotest.fail "expected parse error"
-        | Error e -> check_true "names line 2" (contains e "line 2"));
     t "empty and manifest-only traces render" (fun () ->
-        (match Report.of_lines [] with
+        (match report_of_btrace [] with
         | Error e -> Alcotest.failf "empty trace: %s" e
         | Ok t ->
           let out = Format.asprintf "%a" (Report.render ?focus:None) t in
           check_true "notes the missing manifest"
             (contains out "no manifest record"));
         let m =
-          Json.to_string (Manifest.make ~target:"E1" ~seed:1 ~jobs:1 ~quick:true ())
+          Record.Manifest (Manifest.make ~target:"E1" ~seed:1 ~jobs:1 ~quick:true ())
         in
-        match Report.of_lines [ m ] with
+        match report_of_btrace [ m ] with
         | Error e -> Alcotest.failf "manifest-only trace: %s" e
         | Ok t ->
           let out = Format.asprintf "%a" (Report.render ?focus:None) t in
@@ -234,14 +254,27 @@ let report_tests =
 let forward_compat_tests =
   [
     t "unknown record kinds are skipped with a warning" (fun () ->
-        let lines =
+        let records =
           [
-            {|{"record":"manifest","schema":"csync-trace/1","target":"E1"}|};
-            {|{"record":"flux_capacitor","name":"x","value":88}|};
-            {|{"record":"counter","name":"c","value":3}|};
+            Record.Manifest
+              (Json.Obj
+                 [
+                   ("record", Json.Str "manifest");
+                   ("schema", Json.Str "csync-trace/1");
+                   ("target", Json.Str "E1");
+                 ]);
+            Record.Unknown
+              ( "flux_capacitor",
+                Json.Obj
+                  [
+                    ("record", Json.Str "flux_capacitor");
+                    ("name", Json.Str "x");
+                    ("value", Json.num_of_int 88);
+                  ] );
+            Record.Counter ("c", 3);
           ]
         in
-        match Report.of_lines lines with
+        match report_of_btrace records with
         | Error e -> Alcotest.failf "reader should not fail: %s" e
         | Ok t ->
           check_int "counter still read" 1 (List.length (Report.counters t));
@@ -249,29 +282,49 @@ let forward_compat_tests =
           check_true "warning names the kind"
             (contains (List.hd (Report.warnings t)) "flux_capacitor"));
     t "unknown manifest fields are skipped with a warning" (fun () ->
-        let lines =
-          [ {|{"record":"manifest","schema":"csync-trace/1","hovercraft":true}|} ]
+        let m =
+          Json.Obj
+            [
+              ("record", Json.Str "manifest");
+              ("schema", Json.Str "csync-trace/1");
+              ("hovercraft", Json.Bool true);
+            ]
         in
-        match Report.of_lines lines with
+        match report_of_btrace [ Record.Manifest m ] with
         | Error e -> Alcotest.failf "reader should not fail: %s" e
         | Ok t ->
           check_int "one warning" 1 (List.length (Report.warnings t));
           check_true "warning names the field"
             (contains (List.hd (Report.warnings t)) "hovercraft"));
-    t "the writer-side validator stays strict on unknown kinds" (fun () ->
-        match Report.check_line {|{"record":"flux_capacitor"}|} with
-        | Ok () -> Alcotest.fail "check_line must reject unknown kinds"
-        | Error e -> check_true "names the kind" (contains e "flux_capacitor"));
     t "truncated and shape-broken lines give one-line errors" (fun () ->
-        (match Report.of_lines [ {|{"record":"counter","na|} ] with
+        let one_line e = not (String.contains e '\n') in
+        with_tmp ".btrace" (fun path ->
+            Btrace.write_file path [ Record.Counter ("run.count", 3) ];
+            let bytes = read_all path in
+            write_bytes path (String.sub bytes 0 (String.length bytes - 1));
+            match Report.of_file path with
+            | Ok _ -> Alcotest.fail "expected error"
+            | Error e ->
+              check_true "names truncation" (contains e "truncated");
+              check_true "one line" (one_line e));
+        (* A series whose xs and ys disagree in length, carried as an
+           embedded JSON record. *)
+        let broken =
+          Record.Unknown
+            ( "series",
+              Json.Obj
+                [
+                  ("record", Json.Str "series");
+                  ("name", Json.Str "s");
+                  ("xs", Json.Arr [ Json.Num 1. ]);
+                  ("ys", Json.Arr [ Json.Num 1.; Json.Num 2. ]);
+                ] )
+        in
+        match report_of_btrace [ broken ] with
         | Ok _ -> Alcotest.fail "expected error"
-        | Error e -> check_true "names line 1" (contains e "line 1"));
-        match
-          Report.of_lines
-            [ {|{"record":"series","name":"s","xs":[1],"ys":[1,2]}|} ]
-        with
-        | Ok _ -> Alcotest.fail "expected error"
-        | Error e -> check_true "mismatch named" (contains e "mismatch"));
+        | Error e ->
+          check_true "mismatch named" (contains e "mismatch");
+          check_true "one line" (one_line e));
   ]
 
 (* Online theorem monitors: handle semantics of each of the four checks,
@@ -487,15 +540,11 @@ let monitor_tests =
             ignore
               (Csync_harness.Scenario.run
                  { scenario with Csync_harness.Scenario.rounds = 6 }));
-        let lines = List.map Json.to_string (Mon.dump m) in
-        check_int "one record per check" 7 (List.length lines);
-        List.iter
-          (fun line ->
-            match Report.check_line line with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "bad monitor record %s: %s" line e)
-          lines;
-        match Report.of_lines lines with
+        let records = Mon.records m in
+        check_int "one record per check" 7 (List.length records);
+        check_true "dump is the records' JSON"
+          (Mon.dump m = List.map Record.to_json records);
+        match report_of_btrace records with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok parsed ->
           check_int "seven monitors" 7 (List.length (Report.monitors parsed));
@@ -562,8 +611,8 @@ let provenance_tests =
   ]
 
 (* Cross-run trace diffing (csync report --diff).  Captures are built
-   in memory - manifest line + registry dump + monitor dump, exactly
-   what [csync trace] writes - and parsed back through the reader. *)
+   in memory - manifest + registry records + monitor records, exactly
+   what [csync trace] writes - and read back through a btrace file. *)
 let diff_tests =
   let capture ?(seed = 42) ?(tighten = 1.0) () =
     let reg = Obs.create () and m = Mon.create ~tighten () in
@@ -578,26 +627,22 @@ let diff_tests =
         ignore
           (Csync_harness.Scenario.run
              { scenario with Csync_harness.Scenario.rounds = 6 }));
-    let lines =
-      List.map Json.to_string
-        (Manifest.make ~target:"scenario" ~seed ~jobs:1 ~quick:true ()
-         :: (Obs.dump reg @ Mon.dump m))
-    in
-    match Report.of_lines lines with
+    match
+      report_of_btrace
+        (Record.Manifest
+           (Manifest.make ~target:"scenario" ~seed ~jobs:1 ~quick:true ())
+        :: (Obs.records reg @ Mon.records m))
+    with
     | Ok t -> t
     | Error e -> Alcotest.failf "capture did not parse: %s" e
   in
   let manifest_only ~target =
-    match
-      Report.of_lines
-        [ Json.to_string (Manifest.make ~target ~seed:1 ~jobs:1 ~quick:true ()) ]
-    with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "manifest-only trace did not parse: %s" e
+    Report.of_records
+      [ Record.Manifest (Manifest.make ~target ~seed:1 ~jobs:1 ~quick:true ()) ]
   in
   let render a b =
     Format.asprintf "%a"
-      (fun ppf () -> Diff.render ppf ~name_a:"a.jsonl" ~name_b:"b.jsonl" a b)
+      (fun ppf () -> Diff.render ppf ~name_a:"a.btrace" ~name_b:"b.btrace" a b)
       ()
   in
   [
@@ -612,22 +657,16 @@ let diff_tests =
            exactly what two real same-seed runs look like.  The verdict
            must hold and the footnote must own up to what was skipped. *)
         let with_timing v =
-          let lines =
-            List.map Json.to_string
-              [
-                Manifest.make ~target:"scenario" ~seed:1 ~jobs:1 ~quick:true ();
-                Record.to_json (Record.Counter ("E/run.rounds", 6));
-                Record.to_json
-                  (Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]));
-                Record.to_json
-                  (Record.Span
-                     ("E/phase.fill", { Record.count = 8; total_s = v; max_s = v }));
-                Record.to_json (Record.Gauge ("E/engine.wheel.depth", v));
-              ]
-          in
-          match Report.of_lines lines with
-          | Ok t -> t
-          | Error e -> Alcotest.failf "timing trace did not parse: %s" e
+          Report.of_records
+            [
+              Record.Manifest
+                (Manifest.make ~target:"scenario" ~seed:1 ~jobs:1 ~quick:true ());
+              Record.Counter ("E/run.rounds", 6);
+              Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]);
+              Record.Span
+                ("E/phase.fill", { Record.count = 8; total_s = v; max_s = v });
+              Record.Gauge ("E/engine.wheel.depth", v);
+            ]
         in
         let a = with_timing 10. and b = with_timing 1000. in
         check_bool "identical" true (Diff.identical a b);
@@ -720,8 +759,6 @@ let determinism_tests =
 
 (* ---------- binary trace container ---------- *)
 
-module Btrace = Csync_obs.Btrace
-
 (* Arbitrary records for the encode/decode round-trip: every tag, both
    series encodings (integral arrays hit INT_DELTA, fractional RAW64),
    labeled and bare names, linear and log histograms. *)
@@ -799,16 +836,6 @@ let record_gen =
   in
   oneof [ counter; gauge; series; hist; span; event; monitor; manifest; unknown ]
 
-let with_tmp suffix f =
-  let path = Filename.temp_file "csync_test" suffix in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let btrace_tests =
   [
     qcheck ~count:100 ~name:"btrace encode/decode round-trips every record"
@@ -819,59 +846,81 @@ let btrace_tests =
             match Btrace.fold_file path ~init:[] ~f:(fun acc r -> r :: acc) with
             | Error e -> QCheck2.Test.fail_reportf "read failed: %s" e
             | Ok rev -> List.rev rev = records));
-    t "btrace magic is sniffable and jsonl is not" (fun () ->
+    t "a file without the btrace magic is not a trace" (fun () ->
+        let rejected contents =
+          with_tmp ".btrace" (fun path ->
+              write_bytes path contents;
+              (match Report.of_file path with
+              | Ok _ -> Alcotest.failf "accepted %S as a trace" contents
+              | Error e -> check_true "names the magic" (contains e "magic"));
+              Result.is_error (Btrace.fold_file path ~init:0 ~f:(fun n _ -> n + 1)))
+        in
+        check_true "zero bytes" (rejected "");
+        check_true "json text"
+          (rejected "{\"record\":\"counter\",\"name\":\"a\",\"value\":1}\n");
+        check_true "half a magic"
+          (rejected (String.sub Btrace.magic 0 (String.length Btrace.magic - 2)));
         with_tmp ".btrace" (fun path ->
-            Btrace.write_file path [ Record.Counter ("a", 1) ];
-            check_true "btrace sniffs" (Btrace.sniff_file path));
-        with_tmp ".jsonl" (fun path ->
-            let oc = open_out path in
-            output_string oc "{\"record\":\"counter\",\"name\":\"a\",\"value\":1}\n";
-            close_out oc;
-            check_true "jsonl does not sniff" (not (Btrace.sniff_file path))));
+            Btrace.write_file path [];
+            check_true "the magic alone is an empty trace"
+              (Btrace.fold_file path ~init:0 ~f:(fun n _ -> n + 1) = Ok 0)));
     t "a truncated tail is truncation, not garbage" (fun () ->
+        (* The sink writer hands over the magic and then whole frames, so
+           the running sink length marks every frame boundary. *)
+        let records =
+          [
+            Record.Manifest
+              (Json.Obj [ ("record", Json.Str "manifest"); ("target", Json.Str "E1") ]);
+            Record.Counter ("cell/whole", 7);
+            Record.Series ("cell/tail", [| 1.; 2.; 3. |], [| 0.5; 0.25; 0.125 |]);
+            Record.Event ("cell/ev", Json.Obj [ ("k", Json.Str "v") ]);
+          ]
+        in
+        let b = Buffer.create 256 and boundaries = ref [] in
+        let w =
+          Btrace.writer_fn (fun frame ->
+              Buffer.add_string b frame;
+              boundaries := Buffer.length b :: !boundaries)
+        in
+        List.iter (Btrace.write w) records;
+        let bytes = Buffer.contents b in
+        let full = String.length bytes and head = String.length Btrace.magic in
+        with_tmp ".cut" (fun cut ->
+            for k = head + 1 to full - 1 do
+              write_bytes cut (String.sub bytes 0 k);
+              match Btrace.fold_file cut ~init:0 ~f:(fun n _ -> n + 1) with
+              | Error e when List.mem k !boundaries ->
+                Alcotest.failf "cut at frame boundary %d: %s" k e
+              | Error e ->
+                check_true
+                  (Printf.sprintf "cut at %d names truncation" k)
+                  (contains e "truncated")
+              | Ok _ when List.mem k !boundaries -> ()
+              | Ok n -> Alcotest.failf "cut at %d read %d records" k n
+            done;
+            write_bytes cut bytes;
+            match Btrace.fold_file cut ~init:[] ~f:(fun acc r -> r :: acc) with
+            | Ok rev -> check_true "whole file" (List.rev rev = records)
+            | Error e -> Alcotest.fail e));
+    t "a record larger than the read chunk decodes whole" (fun () ->
+        let n = 100_000 in
+        let big =
+          Record.Series
+            ( "cell/run.skew",
+              Array.init n float_of_int,
+              Array.init n (fun i -> sin (float_of_int i)) )
+        in
+        let records =
+          [ Record.Counter ("cell/a", 1); big; Record.Counter ("cell/b", 2) ]
+        in
         with_tmp ".btrace" (fun path ->
-            Btrace.write_file path
-              [
-                Record.Counter ("whole", 7);
-                Record.Series
-                  ("tail", [| 1.; 2.; 3. |], [| 0.5; 0.25; 0.125 |]);
-              ];
-            let bytes = read_all path in
-            with_tmp ".cut" (fun cut ->
-                let oc = open_out_bin cut in
-                output_string oc (String.sub bytes 0 (String.length bytes - 4));
-                close_out oc;
-                (match Btrace.fold_file cut ~init:0 ~f:(fun n _ -> n + 1) with
-                | Error e -> check_true "names truncation" (contains e "truncated")
-                | Ok _ -> Alcotest.fail "expected a truncation error");
-                (* The streaming reader rewinds at the cut, stably - what
-                   csync top leans on while the writer is mid-record. *)
-                let ic = open_in_bin cut in
-                Fun.protect
-                  ~finally:(fun () -> close_in ic)
-                  (fun () ->
-                    match Btrace.reader ic with
-                    | Error e -> Alcotest.fail e
-                    | Ok r ->
-                      (match Btrace.next r with
-                      | `Record (Record.Counter ("whole", 7)) -> ()
-                      | _ -> Alcotest.fail "expected the whole record first");
-                      check_true "truncated" (Btrace.next r = `Truncated);
-                      check_true "stable on retry" (Btrace.next r = `Truncated));
-                (* Once the writer finishes the record, a fresh pass reads
-                   the whole file. *)
-                let oc =
-                  open_out_gen [ Open_append; Open_binary ] 0o644 cut
-                in
-                output_string oc
-                  (String.sub bytes
-                     (String.length bytes - 4)
-                     4);
-                close_out oc;
-                match Btrace.fold_file cut ~init:0 ~f:(fun n _ -> n + 1) with
-                | Ok 2 -> ()
-                | Ok n -> Alcotest.failf "expected 2 records, got %d" n
-                | Error e -> Alcotest.fail e)));
+            Btrace.write_file path records;
+            (* Far beyond the reader's 64 KiB chunk. *)
+            check_true "record outgrows a chunk"
+              (String.length (read_all path) > 1 lsl 19);
+            match Btrace.fold_file path ~init:[] ~f:(fun acc r -> r :: acc) with
+            | Ok rev -> check_true "every record" (List.rev rev = records)
+            | Error e -> Alcotest.fail e));
     t "report reads the binary container" (fun () ->
         with_tmp ".btrace" (fun path ->
             Btrace.write_file path
@@ -936,16 +985,150 @@ let btrace_tests =
             (List.length other));
   ]
 
+(* ---------- byte pins ----------
+
+   The digests are of bytes written by the hand-built [Registry.dump] /
+   [Monitor.dump] JSON and by the JSONL trace writer that [Record] and
+   [csync report --dump] replaced; the record model must reproduce them
+   exactly. *)
+
+let records_of reg mon = Obs.records reg @ Mon.records mon
+
+(* A registry and a monitor touching every record kind with fixed
+   values, so their dump text is a pure function of this code. *)
+let fixed_capture () =
+  let reg = Obs.create () in
+  Obs.set_label reg "cell A";
+  Obs.Counter.add (Obs.counter reg "run.count") 3;
+  Obs.Gauge.set (Obs.gauge reg "run.depth") 2.5;
+  let s = Obs.series reg "run.skew" in
+  Obs.Series.push s 1. 0.5;
+  Obs.Series.push s 2. 0.25;
+  let h = Obs.hist reg ~lo:0. ~hi:1. ~bins:4 "net.delay" in
+  List.iter (Obs.Hist.add h) [ 0.1; 0.6; 2.; Float.nan; -1. ];
+  let hl = Obs.hist_log reg ~lo:1e-6 ~hi:1. ~per_decade:2 "run.spread" in
+  List.iter (Obs.Hist.add hl) [ 1e-5; 3e-3 ];
+  Obs.Span.record (Obs.span reg "phase.fill") 0.125;
+  Obs.Span.record (Obs.span reg "phase.fill") 0.5;
+  Obs.set_label reg "";
+  Obs.Counter.incr (Obs.counter reg "bare");
+  Obs.event reg "ev" [ ("k", Json.Str "v"); ("n", Json.num_of_int 2) ];
+  let mon = Mon.create () in
+  let a = Mon.Agreement.handle mon ~gamma:0.1 ~from_time:0. in
+  Mon.Agreement.check a ~time:1. ~skew:0.05;
+  Mon.Agreement.check a ~time:2. ~skew:0.2;
+  (reg, mon)
+
+let dump_text records =
+  String.concat ""
+    (List.map (fun r -> Json.to_string (Record.to_json r) ^ "\n") records)
+
+(* The canonical monitored E1 quick capture at --jobs 1, assembled as
+   [csync trace E1 --quick --monitor --canonical --jobs 1] assembles it,
+   written as btrace and read back as [csync report --dump] text. *)
+let e1_dump_text () =
+  let reg = Obs.create () and mon = Mon.create () in
+  let e1 = Option.get (Csync_harness.Registry.find "E1") in
+  with_monitor mon (fun () ->
+      with_installed reg (fun () ->
+          Csync_harness.Registry.render_list ~jobs:1
+            (Format.make_formatter (fun _ _ _ -> ()) ignore)
+            ~quick:true [ e1 ]));
+  let records =
+    Record.canonical
+      (Record.Manifest
+         (Manifest.make ~target:"E1" ~seed:1000 ~jobs:1 ~quick:true ())
+      :: records_of reg mon)
+  in
+  let path = Filename.temp_file "csync_test" ".btrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Btrace.write_file path records;
+      match Btrace.fold_file path ~init:[] ~f:(fun acc r -> r :: acc) with
+      | Error e -> Alcotest.fail e
+      | Ok rev -> dump_text (List.rev rev))
+
+(* Random registry and monitor activity: every instrument kind, labeled
+   and bare names, integral and fractional values, violations or not. *)
+type op =
+  | Count of string * int
+  | Set of string * float
+  | Push of string * float * float
+  | Add of string * float
+  | Add_log of string * float
+  | Time of string * float
+  | Emit of string * int
+  | Skew of float * float
+
+let op_gen =
+  let open QCheck2.Gen in
+  let name = oneofl [ "run.skew"; "net.delay"; "cell A/proc.3.adj"; "x" ] in
+  let value =
+    oneof [ map float_of_int (int_range (-1000) 1000); float_range (-10.) 10. ]
+  in
+  oneof
+    [
+      map2 (fun n v -> Count (n, v)) name (int_range 0 1_000_000);
+      map2 (fun n v -> Set (n, v)) name value;
+      map3 (fun n x y -> Push (n, x, y)) name value value;
+      map2 (fun n v -> Add (n, v)) name (float_range (-0.5) 1.5);
+      map2 (fun n v -> Add_log (n, v)) name (float_range 1e-7 2.);
+      map2 (fun n v -> Time (n, v)) name (float_range 0. 2.);
+      map2 (fun n v -> Emit (n, v)) name (int_range 0 100);
+      map2 (fun time skew -> Skew (time, skew)) (float_range 0. 10.)
+        (float_range 0. 0.2);
+    ]
+
+let apply_ops ops =
+  let reg = Obs.create () and mon = Mon.create () in
+  let agreement = Mon.Agreement.handle mon ~gamma:0.1 ~from_time:0. in
+  (* Each kind gets its own namespace: one name cannot mint two kinds. *)
+  List.iter
+    (function
+      | Count (n, v) -> Obs.Counter.add (Obs.counter reg ("c." ^ n)) v
+      | Set (n, v) -> Obs.Gauge.set (Obs.gauge reg ("g." ^ n)) v
+      | Push (n, x, y) -> Obs.Series.push (Obs.series reg ("s." ^ n)) x y
+      | Add (n, v) -> Obs.Hist.add (Obs.hist reg ~lo:0. ~hi:1. ~bins:5 ("h." ^ n)) v
+      | Add_log (n, v) ->
+        Obs.Hist.add (Obs.hist_log reg ~lo:1e-6 ~hi:1. ~per_decade:3 ("l." ^ n)) v
+      | Time (n, v) -> Obs.Span.record (Obs.span reg ("p." ^ n)) v
+      | Emit (n, v) -> Obs.event reg n [ ("v", Json.num_of_int v) ]
+      | Skew (time, skew) -> Mon.Agreement.check agreement ~time ~skew)
+    ops;
+  (reg, mon)
+
+let pin_tests =
+  [
+    qcheck ~count:100 ~name:"dump is the JSON of records, which round-trips"
+      QCheck2.Gen.(list_size (0 -- 40) op_gen)
+      (fun ops ->
+        let reg, mon = apply_ops ops in
+        let records = records_of reg mon in
+        Obs.dump reg @ Mon.dump mon = List.map Record.to_json records
+        && List.for_all
+             (fun r -> Record.of_json (Record.to_json r) = Ok r)
+             records);
+    t "registry and monitor dump text is pinned" (fun () ->
+        let reg, mon = fixed_capture () in
+        Alcotest.(check string)
+          "md5" "f86e92e7b6bf792d6d1b98f197eedd6f"
+          (Digest.to_hex
+             (Digest.string
+                (String.concat "\n"
+                   (List.map Json.to_string (Obs.dump reg @ Mon.dump mon))))));
+    t "canonical E1 dump text is pinned" (fun () ->
+        Alcotest.(check string)
+          "md5" "2d31d17be93a900144ad6d628bd8c1e0"
+          (Digest.to_hex (Digest.string (e1_dump_text ()))));
+  ]
+
 (* ---------- worker shards and the round-phase profiler ---------- *)
 
 module Shard = Csync_obs.Shard
 module Profile = Csync_obs.Profile
 
-let report_of_registry reg =
-  Report.of_records
-    (List.filter_map
-       (fun j -> Result.to_option (Record.of_json j))
-       (Obs.dump reg))
+let report_of_registry reg = Report.of_records (Obs.records reg)
 
 let shard_profile_tests =
   [
@@ -957,14 +1140,9 @@ let shard_profile_tests =
         Shard.Counter.add c 3;
         Shard.Counter.incr c;
         check_int "local value" 4 (Shard.Counter.value c);
-        let h = Shard.hist sh ~lo:0. ~hi:10. ~bins:5 "s.h" in
-        Shard.Hist.add h 1.;
-        Shard.Hist.add h 7.;
         let hl = Shard.hist_log sh ~lo:1e-3 ~hi:1. ~per_decade:4 "s.hl" in
         Shard.Hist.add hl 0.01;
-        let sr = Shard.series sh "s.series" in
-        Shard.Series.push sr 1. 10.;
-        Shard.Series.push sr 2. 20.;
+        Shard.Hist.add hl 0.5;
         let sp = Shard.span sh "s.span" in
         Shard.Span.record sp 0.5;
         check_int "nothing reaches the registry before merge" 0
@@ -972,15 +1150,9 @@ let shard_profile_tests =
         Shard.merge sh;
         let rep = report_of_registry reg in
         check_int "counter merged" 4 (List.assoc "s.count" (Report.counters rep));
-        let hr = List.assoc "s.h" (Report.hists rep) in
-        check_int "hist merged" 2 hr.Report.total;
         let hlr = List.assoc "s.hl" (Report.hists rep) in
+        check_int "hist merged" 2 hlr.Report.total;
         check_true "log shape survives" (hlr.Report.per_decade = Some 4);
-        let _, xs, ys =
-          List.find (fun (n, _, _) -> n = "s.series") (Report.series rep)
-        in
-        check_true "series points appended in order"
-          (xs = [| 1.; 2. |] && ys = [| 10.; 20. |]);
         let spr = List.assoc "s.span" (Report.spans rep) in
         check_int "span count" 1 spr.Report.count;
         check_float "span total" 0.5 spr.Report.total_s);
@@ -991,7 +1163,7 @@ let shard_profile_tests =
         Shard.Counter.incr (Shard.counter sh "x");
         check_int "same cell" 2 (Shard.Counter.value a);
         check_raises_invalid "kind clash" (fun () ->
-            ignore (Shard.series sh "x")));
+            ignore (Shard.span sh "x")));
     t "disabled shard is inert" (fun () ->
         let sh = Shard.create Obs.none in
         check_true "inactive" (not (Shard.active sh));
@@ -999,7 +1171,9 @@ let shard_profile_tests =
         Shard.Counter.incr c;
         check_int "no-op counter" 0 (Shard.Counter.value c);
         check_true "no-op hist"
-          (not (Shard.Hist.active (Shard.hist sh ~lo:0. ~hi:1. ~bins:2 "h")));
+          (not
+             (Shard.Hist.active
+                (Shard.hist_log sh ~lo:1e-3 ~hi:1. ~per_decade:2 "h")));
         Shard.merge sh);
     t "profiler spans and per-occurrence series accumulate" (fun () ->
         let reg = Obs.create () in
@@ -1317,5 +1491,6 @@ let collect_tests =
 let suite =
   json_tests @ registry_tests @ manifest_tests @ report_tests
   @ forward_compat_tests @ monitor_tests @ provenance_tests @ diff_tests
-  @ determinism_tests @ btrace_tests @ shard_profile_tests @ collect_tests
+  @ determinism_tests @ btrace_tests @ pin_tests @ shard_profile_tests
+  @ collect_tests
   @ top_tests

@@ -371,8 +371,7 @@ let monitored ~quick ~jobs id =
         |> String.concat "\n")
   in
   let records =
-    Csync_obs.Registry.dump reg @ Mon.dump mon
-    |> List.filter_map (fun j -> Result.to_option (Csync_obs.Record.of_json j))
+    Csync_obs.Registry.records reg @ Mon.records mon
     |> Csync_obs.Record.canonical
     |> List.map (fun r -> Csync_obs.Json.to_string (Csync_obs.Record.to_json r))
   in
@@ -431,12 +430,7 @@ let captured ~jobs ~rounds ~n () =
     Fun.protect ~finally:Obs.clear_installed (fun () ->
         Scale.run ~jobs ~rounds (big_model ~n ()))
   in
-  let records =
-    List.filter_map
-      (fun j -> Result.to_option (Record.of_json j))
-      (Obs.dump reg)
-  in
-  (result_key stats, Record.canonical records)
+  (result_key stats, Record.canonical (Obs.records reg))
 
 let btrace_bytes records =
   let path = Filename.temp_file "csync_scale" ".btrace" in
