@@ -133,10 +133,9 @@ let bench_engine =
                (Csync_sim.Engine.drain e
                   ~handler:(fun _ _ -> incr count)
                   ~max_events:10_000)));
-      (* One million events through the timing wheel in one op: the
-         horizon-crossing, epoch-advancing regime the 1k kernel never
-         reaches.  Times spread over ~1000 bucket widths so the run
-         exercises overflow promotion, not just in-window inserts. *)
+      (* One million events through the event queue in one op: a heap
+         twenty levels deep, far past the caches, the regime the 1k
+         kernel never reaches. *)
       Test.make ~name:"schedule-pop-1M"
         (Staged.stage (fun () ->
              let e = Csync_sim.Engine.create ~expected:1_000_000 () in
@@ -149,16 +148,6 @@ let bench_engine =
                (Csync_sim.Engine.drain e
                   ~handler:(fun _ _ -> ())
                   ~max_events:1_000_001)));
-      (let h = Csync_sim.Heap.create ~cmp:Int.compare in
-       Test.make ~name:"heap-clear-refill-1k"
-         (Staged.stage (fun () ->
-              Csync_sim.Heap.clear h;
-              for i = 0 to 999 do
-                Csync_sim.Heap.push h ((i * 7919) mod 1000)
-              done;
-              while not (Csync_sim.Heap.is_empty h) do
-                ignore (Csync_sim.Heap.pop_exn h)
-              done)));
     ]
 
 let scale_model_1m =
@@ -369,9 +358,9 @@ let bench_stabilize =
 
    The zero-alloc claim in numbers: minor-heap words allocated per
    simulated event on each layer's steady-state path, measured directly
-   with [Gc.minor_words] after a warm-up pass (so slabs and wheels are at
-   their high-water marks and the numbers reflect the recycling regime,
-   not first-touch growth).  Large arrays land in the major heap and are
+   with [Gc.minor_words] after a warm-up pass (so delivery slabs and
+   queue arrays are at their high-water marks and the numbers reflect
+   the recycling regime, not first-touch growth).  Large arrays land in the major heap and are
    excluded by construction - these figures are the per-event churn. *)
 
 let words_per_event ~events f =

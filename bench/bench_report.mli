@@ -1,4 +1,4 @@
-(** Benchmark engine shared by [bench/main.exe] and [csync bench].
+(** Benchmark engine behind [csync bench].
 
     Runs the experiment suite as a timed, parallelism-audited artifact and
     bechamel micro-benchmarks of the computational kernels, and serializes
@@ -16,7 +16,7 @@ type suite = {
 
 type alloc = {
   engine_words_per_event : float;
-      (** raw wheel schedule+drain: float boxing at the callback boundary *)
+      (** raw queue schedule+drain: float boxing at the callback boundary *)
   delivery_words_per_event : float;
       (** warm cluster ping-pong: slab-recycled deliveries, so only the
           handler's action list and closure-boundary boxing remain *)
@@ -25,7 +25,8 @@ type alloc = {
 }
 (** The zero-alloc audit: minor-heap words per simulated event on each
     layer's steady-state path, measured with [Gc.minor_words] after a
-    warm-up pass (slabs and wheels at their high-water marks). *)
+    warm-up pass (delivery slabs and queue arrays at their high-water
+    marks). *)
 
 type scale = {
   scale_n : int;  (** model size: the degree-8 ring at n = 10^6 *)

@@ -98,11 +98,11 @@ let round ?jobs t =
   let results =
     Pool.init ~jobs shards (fun s ->
         let lo, hi = shard_bounds ~n ~shards s in
-        let t0 = if Profile.active prof then Profile.now_ns () else 0 in
+        let t0 = if Profile.active prof then Obs.now_ns () else 0 in
         let row = Array.make (Soa.width t) 0. in
         let mids = Array.create_float (hi - lo) in
         let count = fill_and_reduce t ~lo ~hi ~row ~mids in
-        let ns = if Profile.active prof then Profile.now_ns () - t0 else 0 in
+        let ns = if Profile.active prof then Obs.now_ns () - t0 else 0 in
         observe_shard t tele.(s) ~lo ~hi ~count;
         (lo, count, mids, mids_digest ~lo mids, ns))
   in

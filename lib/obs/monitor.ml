@@ -1,25 +1,7 @@
 (* Online theorem monitors.  The structure mirrors Registry: an enabled
    flag checked on every handle mint, permanent no-op handles, and a CAS
-   spinlock for the (rare) shared mutation, violation recording.
+   {!Spinlock} for the (rare) shared mutation, violation recording.
    Per-sample counters are atomics; provenance is worker-local. *)
-
-type lock = bool Atomic.t
-
-let lock_create () : lock = Atomic.make false
-
-let acquire l = while not (Atomic.compare_and_set l false true) do () done
-
-let release l = Atomic.set l false
-
-let locked l f =
-  acquire l;
-  match f () with
-  | v ->
-    release l;
-    v
-  | exception e ->
-    release l;
-    raise e
 
 type check =
   | Agreement
@@ -98,7 +80,7 @@ type t = {
   enabled : bool;
   tighten : float;
   on : bool array; (* indexed by check_index *)
-  lock : lock;
+  lock : Spinlock.t;
   cells : cell array;
   mutable first_overall : (int * violation) option;
 }
@@ -120,7 +102,7 @@ let make_monitor ~enabled ~checks ~tighten =
     enabled;
     tighten;
     on;
-    lock = lock_create ();
+    lock = Spinlock.create ();
     cells =
       Array.init n_checks (fun _ ->
           { evals = Atomic.make 0; viols = Atomic.make 0; first = None });
@@ -190,7 +172,7 @@ let record t (v : violation) =
   ignore (Atomic.fetch_and_add cell.viols 1);
   let k = (local t).cell_index in
   let earlier = function None -> true | Some (k', _) -> k < k' in
-  locked t.lock (fun () ->
+  Spinlock.locked t.lock (fun () ->
       if earlier cell.first then cell.first <- Some (k, v);
       if earlier t.first_overall then t.first_overall <- Some (k, v))
 
@@ -581,13 +563,16 @@ let checks_performed t =
 let violations_total t =
   Array.fold_left (fun acc c -> acc + Atomic.get c.viols) 0 t.cells
 
-let first_violation t = locked t.lock (fun () -> Option.map snd t.first_overall)
+let first_violation t =
+  Spinlock.locked t.lock (fun () -> Option.map snd t.first_overall)
 
 let results t =
   List.map
     (fun c ->
       let cell = t.cells.(check_index c) in
-      let first = locked t.lock (fun () -> Option.map snd cell.first) in
+      let first =
+        Spinlock.locked t.lock (fun () -> Option.map snd cell.first)
+      in
       (c, Atomic.get cell.evals, Atomic.get cell.viols, first))
     all_checks
 

@@ -1,8 +1,9 @@
-/* Monotonic clock primitive for Wall_clock.mono_ns.
+/* Monotonic clock primitive for Registry.now_ns (span and phase timing)
+ * and Wall_clock.mono_ns (fleet-telemetry timestamps).
  *
  * CLOCK_MONOTONIC never steps (NTP slews it but cannot jump it), so
- * telemetry timestamps taken from it order correctly even if the host's
- * wall clock is adjusted mid-run.  Nanoseconds since an unspecified
+ * durations and timestamps taken from it order correctly even if the
+ * host's wall clock is adjusted mid-run.  Nanoseconds since an unspecified
  * epoch fit comfortably in OCaml's 63-bit int (~146 years). */
 
 #include <caml/mlvalues.h>

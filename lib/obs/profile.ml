@@ -8,12 +8,9 @@
    inside the scale workers (each fills and reduces its own rows) and
    recorded once per round, at the slowest worker's time.
 
-   The clock is [Unix.gettimeofday] in integer nanoseconds, clamped
-   monotone through an atomic high-water mark: the stdlib exposes no
-   monotonic clock without C stubs, and a wall-clock step backwards
-   (NTP!) must not produce negative phase times in a profiler that ships
-   inside a clock-synchronization testbed.  During a backward step the
-   clock holds still, so affected durations read 0, never negative. *)
+   Phases are timed on {!Registry.now_ns}, the monotonic clock, so a
+   wall-clock step (NTP) during a round cannot produce a negative or
+   inflated phase time. *)
 
 type phase = Fill | Apply | Advance | Shard_merge | Checksum
 
@@ -32,18 +29,6 @@ let phase_index = function
   | Advance -> 2
   | Shard_merge -> 3
   | Checksum -> 4
-
-let last_ns = Atomic.make 0
-
-let now_ns () =
-  let t = int_of_float (Unix.gettimeofday () *. 1e9) in
-  let rec clamp () =
-    let prev = Atomic.get last_ns in
-    if t <= prev then prev
-    else if Atomic.compare_and_set last_ns prev t then t
-    else clamp ()
-  in
-  clamp ()
 
 type cells = {
   spans : Registry.Span.handle array;  (* by phase_index *)
@@ -87,8 +72,8 @@ let time t phase f =
   match t with
   | Disabled -> f ()
   | On _ ->
-    let t0 = now_ns () in
-    let finish () = record_ns t phase (now_ns () - t0) in
+    let t0 = Registry.now_ns () in
+    let finish () = record_ns t phase (Registry.now_ns () - t0) in
     (match f () with
     | v ->
       finish ();

@@ -7,10 +7,8 @@
     disabled registry, or {!disabled}) is one pattern-match branch,
     perf-gated by the [obs/phase-span-disabled] bench kernel.
 
-    Timing uses {!now_ns}: wall-clock nanoseconds clamped monotone
-    through an atomic high-water mark (no monotonic clock exists in the
-    stdlib without C stubs), so durations are never negative — during a
-    backward wall-clock step they read 0. *)
+    Timing uses {!Registry.now_ns}, the host's monotonic clock, so
+    durations are never negative. *)
 
 type phase = Fill | Apply | Advance | Shard_merge | Checksum
 
@@ -31,8 +29,6 @@ val create : Registry.t -> t
     label in force); disabled iff [reg] is. *)
 
 val active : t -> bool
-
-val now_ns : unit -> int
 
 val record_ns : t -> phase -> int -> unit
 (** Record one occurrence of [phase] taking [ns] nanoseconds. *)

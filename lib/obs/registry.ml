@@ -1,44 +1,27 @@
 module Histogram = Csync_metrics.Histogram
 
-(* All mutation other than counters goes through this spinlock.  The
-   enabled registry is shared across pool domains, and the 4.14 CI leg
-   has no threads library, so a CAS busy-wait is the one portable
-   primitive; critical sections are a few stores, so contention is
-   negligible. *)
-type lock = bool Atomic.t
+(* All mutation other than counters goes through a {!Spinlock}. *)
 
-let lock_create () : lock = Atomic.make false
-
-let acquire l = while not (Atomic.compare_and_set l false true) do () done
-
-let release l = Atomic.set l false
-
-let locked l f =
-  acquire l;
-  match f () with
-  | v ->
-    release l;
-    v
-  | exception e ->
-    release l;
-    raise e
-
-type gauge_cell = { glock : lock; mutable gv : float; mutable gset : bool }
+type gauge_cell = {
+  glock : Spinlock.t;
+  mutable gv : float;
+  mutable gset : bool;
+}
 
 type series_cell = {
-  slock : lock;
+  slock : Spinlock.t;
   mutable sx : float array;
   mutable sy : float array;
   mutable sn : int;
 }
 
-type hist_cell = { hlock : lock; hh : Histogram.t }
+type hist_cell = { hlock : Spinlock.t; hh : Histogram.t }
 
-(* Durations accumulate as integer nanoseconds: the clock resolves µs at
-   best, summing exact ns quotients avoids float drift, and the trace
+(* Durations accumulate as integer nanoseconds: spans are timed on the
+   monotonic ns clock, summing exact ns avoids float drift, and the trace
    encoder stores ns-exact span times as varints instead of raw f64. *)
 type span_cell = {
-  plock : lock;
+  plock : Spinlock.t;
   mutable pcount : int;
   mutable ptotal_ns : int;
   mutable pmax_ns : int;
@@ -48,7 +31,7 @@ type event = { ev_name : string; ev_fields : (string * Json.t) list }
 
 type t = {
   enabled : bool;
-  rlock : lock;
+  rlock : Spinlock.t;
   counters : (string, int Atomic.t) Hashtbl.t;
   gauges : (string, gauge_cell) Hashtbl.t;
   series_tbl : (string, series_cell) Hashtbl.t;
@@ -70,7 +53,7 @@ let event_cap = 65536
 let make_registry enabled =
   {
     enabled;
-    rlock = lock_create ();
+    rlock = Spinlock.create ();
     counters = Hashtbl.create (if enabled then 64 else 1);
     gauges = Hashtbl.create (if enabled then 16 else 1);
     series_tbl = Hashtbl.create (if enabled then 32 else 1);
@@ -106,10 +89,10 @@ let installed () = !installed_ref
 
 let clear_installed () = installed_ref := none
 
-let now_s () = Unix.gettimeofday ()
+external now_ns : unit -> int = "csync_mono_ns" [@@noalloc]
 
 let intern tbl rlock name make =
-  locked rlock (fun () ->
+  Spinlock.locked rlock (fun () ->
       match Hashtbl.find_opt tbl name with
       | Some v -> v
       | None ->
@@ -144,7 +127,7 @@ module Gauge = struct
     match h with
     | Noop -> ()
     | G c ->
-      locked c.glock (fun () ->
+      Spinlock.locked c.glock (fun () ->
           c.gv <- v;
           c.gset <- true)
 
@@ -152,7 +135,7 @@ module Gauge = struct
     match h with
     | Noop -> ()
     | G c ->
-      locked c.glock (fun () ->
+      Spinlock.locked c.glock (fun () ->
           if (not c.gset) || v > c.gv then begin
             c.gv <- v;
             c.gset <- true
@@ -160,7 +143,8 @@ module Gauge = struct
 
   let value = function
     | Noop -> None
-    | G c -> locked c.glock (fun () -> if c.gset then Some c.gv else None)
+    | G c ->
+      Spinlock.locked c.glock (fun () -> if c.gset then Some c.gv else None)
 end
 
 let gauge t name =
@@ -168,7 +152,7 @@ let gauge t name =
   else
     Gauge.G
       (intern t.gauges t.rlock (full_name t name) (fun () ->
-           { glock = lock_create (); gv = 0.; gset = false }))
+           { glock = Spinlock.create (); gv = 0.; gset = false }))
 
 module Series = struct
   type handle = Noop | S of series_cell
@@ -181,7 +165,7 @@ module Series = struct
     match h with
     | Noop -> ()
     | S c ->
-      locked c.slock (fun () ->
+      Spinlock.locked c.slock (fun () ->
           let cap = Array.length c.sx in
           if c.sn = cap then begin
             let cap' = max 16 (2 * cap) in
@@ -196,7 +180,7 @@ module Series = struct
   let points = function
     | Noop -> []
     | S c ->
-      locked c.slock (fun () ->
+      Spinlock.locked c.slock (fun () ->
           List.init c.sn (fun i -> (c.sx.(i), c.sy.(i))))
 end
 
@@ -205,7 +189,7 @@ let series t name =
   else
     Series.S
       (intern t.series_tbl t.rlock (full_name t name) (fun () ->
-           { slock = lock_create (); sx = [||]; sy = [||]; sn = 0 }))
+           { slock = Spinlock.create (); sx = [||]; sy = [||]; sn = 0 }))
 
 module Hist = struct
   type handle = Noop | H of hist_cell
@@ -215,18 +199,20 @@ module Hist = struct
   let active = function Noop -> false | H _ -> true
 
   let add h v =
-    match h with Noop -> () | H c -> locked c.hlock (fun () -> Histogram.add c.hh v)
+    match h with
+    | Noop -> ()
+    | H c -> Spinlock.locked c.hlock (fun () -> Histogram.add c.hh v)
 
   let count = function
     | Noop -> 0
-    | H c -> locked c.hlock (fun () -> Histogram.count c.hh)
+    | H c -> Spinlock.locked c.hlock (fun () -> Histogram.count c.hh)
 
   (* Shard-fold primitive: add a worker-local histogram's counters into
      the shared one (same shape required, see {!Histogram.merge}). *)
   let merge h src =
     match h with
     | Noop -> ()
-    | H c -> locked c.hlock (fun () -> Histogram.merge c.hh src)
+    | H c -> Spinlock.locked c.hlock (fun () -> Histogram.merge c.hh src)
 end
 
 let hist t ~lo ~hi ~bins name =
@@ -234,14 +220,17 @@ let hist t ~lo ~hi ~bins name =
   else
     Hist.H
       (intern t.hists t.rlock (full_name t name) (fun () ->
-           { hlock = lock_create (); hh = Histogram.create ~lo ~hi ~bins }))
+           { hlock = Spinlock.create (); hh = Histogram.create ~lo ~hi ~bins }))
 
 let hist_log t ~lo ~hi ~per_decade name =
   if not t.enabled then Hist.Noop
   else
     Hist.H
       (intern t.hists t.rlock (full_name t name) (fun () ->
-           { hlock = lock_create (); hh = Histogram.log ~lo ~hi ~per_decade }))
+           {
+             hlock = Spinlock.create ();
+             hh = Histogram.log ~lo ~hi ~per_decade;
+           }))
 
 module Span = struct
   type handle = Noop | P of span_cell
@@ -252,22 +241,21 @@ module Span = struct
 
   let to_ns seconds = max 0 (int_of_float (Float.round (seconds *. 1e9)))
 
+  let record_ns c ns =
+    Spinlock.locked c.plock (fun () ->
+        c.pcount <- c.pcount + 1;
+        c.ptotal_ns <- c.ptotal_ns + ns;
+        if ns > c.pmax_ns then c.pmax_ns <- ns)
+
   let record h seconds =
-    match h with
-    | Noop -> ()
-    | P c ->
-      let ns = to_ns seconds in
-      locked c.plock (fun () ->
-          c.pcount <- c.pcount + 1;
-          c.ptotal_ns <- c.ptotal_ns + ns;
-          if ns > c.pmax_ns then c.pmax_ns <- ns)
+    match h with Noop -> () | P c -> record_ns c (to_ns seconds)
 
   let time h f =
     match h with
     | Noop -> f ()
-    | P _ ->
-      let t0 = now_s () in
-      let finish () = record h (now_s () -. t0) in
+    | P c ->
+      let t0 = now_ns () in
+      let finish () = record_ns c (now_ns () - t0) in
       (match f () with
       | v ->
         finish ();
@@ -284,7 +272,7 @@ module Span = struct
     | Noop -> ()
     | P c ->
       let total_ns = to_ns total_s and max_ns = to_ns max_s in
-      locked c.plock (fun () ->
+      Spinlock.locked c.plock (fun () ->
           c.pcount <- c.pcount + count;
           c.ptotal_ns <- c.ptotal_ns + total_ns;
           if max_ns > c.pmax_ns then c.pmax_ns <- max_ns)
@@ -295,11 +283,16 @@ let span t name =
   else
     Span.P
       (intern t.spans t.rlock (full_name t name) (fun () ->
-           { plock = lock_create (); pcount = 0; ptotal_ns = 0; pmax_ns = 0 }))
+           {
+             plock = Spinlock.create ();
+             pcount = 0;
+             ptotal_ns = 0;
+             pmax_ns = 0;
+           }))
 
 let event t name fields =
   if t.enabled then
-    locked t.rlock (fun () ->
+    Spinlock.locked t.rlock (fun () ->
         if t.events_n >= event_cap then t.events_dropped <- t.events_dropped + 1
         else begin
           t.events <- { ev_name = full_name t name; ev_fields = fields } :: t.events;
@@ -313,7 +306,7 @@ let sorted_bindings tbl =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let records t =
-  locked t.rlock (fun () ->
+  Spinlock.locked t.rlock (fun () ->
       let counters =
         sorted_bindings t.counters
         |> List.map (fun (name, a) -> Record.Counter (name, Atomic.get a))

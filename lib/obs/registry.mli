@@ -47,8 +47,11 @@ val set_label : t -> string -> unit
 val label : t -> string
 (** The label currently in force on this worker. *)
 
-val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]), for span timing. *)
+external now_ns : unit -> int = "csync_mono_ns" [@@noalloc]
+(** The host's monotonic clock ([CLOCK_MONOTONIC]) in integer nanoseconds
+    since an unspecified epoch.  It never steps backwards, so span and
+    phase durations timed on it are never negative, even when the wall
+    clock is adjusted mid-span. *)
 
 (** {2 Instruments}
 
@@ -127,8 +130,8 @@ module Span : sig
       clamped at zero).  Exposed for shard-local span accumulators. *)
 
   val time : handle -> (unit -> 'a) -> 'a
-  (** Run the thunk, recording its wall-clock duration (also on raise).
-      On a no-op handle this is exactly [f ()]. *)
+  (** Run the thunk, recording its duration on {!now_ns} (also on
+      raise).  On a no-op handle this is exactly [f ()]. *)
 
   val count : handle -> int
 

@@ -311,16 +311,14 @@ let render_hists ppf ~focus t =
         per_link
   end
 
-(* The scale pipeline's phase spans, in execution order within a round;
+(* The profiler's phases run in [Profile.phases] order within a round;
    phases a trace lacks are simply absent from the table. *)
-let phase_order = [ "fill"; "apply"; "checksum"; "advance" ]
-
 let phase_rank p =
   let rec go i = function
-    | [] -> List.length phase_order
-    | q :: rest -> if q = p then i else go (i + 1) rest
+    | [] -> i
+    | q :: rest -> if Profile.phase_name q = p then i else go (i + 1) rest
   in
-  go 0 phase_order
+  go 0 Profile.phases
 
 let render_profile ppf ~focus t =
   let phases =
@@ -371,17 +369,11 @@ let render_profile ppf ~focus t =
         t.gauges
     in
     let table =
-      match (g "sim.queue_depth_hw", g "sim.queue_occupancy_hw") with
-      | None, None -> table
-      | depth, occ ->
-        let part label v =
-          match v with Some v -> Printf.sprintf "%s %.0f" label v | None -> ""
-        in
+      match g "sim.queue_depth_hw" with
+      | None -> table
+      | Some depth ->
         Table.note table
-          (String.trim
-             (Printf.sprintf "engine high-water: %s %s"
-                (part "queue depth" depth)
-                (part " occupied slots" occ)))
+          (Printf.sprintf "engine high-water: queue depth %.0f" depth)
     in
     Table.render ppf table
   end

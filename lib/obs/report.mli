@@ -67,9 +67,10 @@ val warnings : t -> string list
 (** Reader warnings: skipped unknown record kinds / manifest fields. *)
 
 val phase_rank : string -> int
-(** Position of a ["profile.<phase>"] span's [<phase>] in a scale round's
-    execution order (fill, apply, checksum, advance); unknown phases rank
-    after every known one.  The profile table and [csync top]'s bars sort
+(** Position of a ["profile.<phase>"] span's [<phase>] in
+    {!Profile.phases}, the order a scale round runs them (fill, apply,
+    advance, shard_merge, checksum); unknown phases rank after every
+    known one.  The profile table and [csync top]'s bars sort
     by it. *)
 
 val render : ?focus:string -> Format.formatter -> t -> unit

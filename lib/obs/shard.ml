@@ -109,21 +109,20 @@ module Span = struct
 
   let active = function Noop -> false | P _ -> true
 
+  let record_ns c ns =
+    c.pcount <- c.pcount + 1;
+    c.ptotal_ns <- c.ptotal_ns + ns;
+    if ns > c.pmax_ns then c.pmax_ns <- ns
+
   let record h seconds =
-    match h with
-    | Noop -> ()
-    | P c ->
-      let ns = Registry.Span.to_ns seconds in
-      c.pcount <- c.pcount + 1;
-      c.ptotal_ns <- c.ptotal_ns + ns;
-      if ns > c.pmax_ns then c.pmax_ns <- ns
+    match h with Noop -> () | P c -> record_ns c (Registry.Span.to_ns seconds)
 
   let time h f =
     match h with
     | Noop -> f ()
-    | P _ ->
-      let t0 = Registry.now_s () in
-      let finish () = record h (Registry.now_s () -. t0) in
+    | P c ->
+      let t0 = Registry.now_ns () in
+      let finish () = record_ns c (Registry.now_ns () - t0) in
       (match f () with
       | v ->
         finish ();

@@ -26,20 +26,6 @@ type 'm t = {
   mon : Mon.t;
 }
 
-(* The wheel's bucket width comes from the delay model: deliveries spread
-   over the [delta - eps, delta + eps] jitter window, so eps / 2 resolves it
-   into a few buckets; a jitter-free model falls back to a fraction of the
-   base delay itself. *)
-let wheel_geometry delay =
-  let eps = Csync_net.Delay.eps delay in
-  let delta = Csync_net.Delay.delta delay in
-  let width =
-    if eps > 0. then eps /. 2.
-    else if delta > 0. then delta /. 8.
-    else Csync_sim.Event_queue.default_geometry.width
-  in
-  { Csync_sim.Event_queue.default_geometry with width }
-
 let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     ?(exchanges = 1) ~procs () =
   let n = Array.length procs in
@@ -55,9 +41,7 @@ let create ~clocks ?graph ~delay ?collision ?(trace = Trace.create ())
     | Some g -> n + Csync_topo.Graph.edges g
   in
   let expected = if exchanges <= 0 then 2 * n else bcast_total + (2 * n) in
-  let engine =
-    Engine.create ~geometry:(wheel_geometry delay) ~expected ()
-  in
+  let engine = Engine.create ~expected () in
   let buffer =
     Message_buffer.create ~n ?graph ~delay ?collision ~trace ~engine ()
   in

@@ -41,9 +41,6 @@ val create :
     the peak in-flight event count is one exchange's broadcast traffic
     (n^2 messages on the mesh, self + out-edges per process on a graph)
     plus a START and TIMER per process; 0 means a messaging-free run.
-    The engine's timing wheel has {!Csync_sim.Event_queue.default_geometry}'s
-    bucket count and a bucket width derived from [delay]'s jitter (eps / 2,
-    falling back to delta / 8 for jitter-free models).
     @raise Invalid_argument if [clocks] and [procs] differ in length or
     the graph's size is not [n]. *)
 

@@ -1,4 +1,4 @@
-external mono_ns : unit -> int = "csync_mono_ns" [@@noalloc]
+let mono_ns = Csync_obs.Registry.now_ns
 
 type t = { epoch : float; offset : float; rate : float }
 

@@ -31,4 +31,5 @@ val mono_ns : unit -> int
     nanoseconds since an unspecified epoch.  Unlike the wall clock it
     never steps, so telemetry timestamps taken from it stay ordered
     even if NTP adjusts the host mid-run.  All fleet-telemetry emitter
-    timestamps use this reading. *)
+    timestamps use this reading; it is {!Csync_obs.Registry.now_ns}, the
+    clock telemetry spans are timed on. *)

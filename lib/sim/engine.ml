@@ -5,20 +5,18 @@ type 'a t = {
   mutable now : float;
   obs_events : Obs.Counter.handle;
   obs_depth_hw : Obs.Gauge.handle;
-  obs_occ_hw : Obs.Gauge.handle;
 }
 
 (* The ambient registry is captured once, at creation; with telemetry
    disabled both handles are permanent no-ops and the hot path below
    costs one branch. *)
-let create ?(start_time = 0.) ?geometry ?expected () =
+let create ?(start_time = 0.) ?expected () =
   let obs = Obs.installed () in
   {
-    queue = Event_queue.create ?geometry ?expected ();
+    queue = Event_queue.create ?expected ();
     now = start_time;
     obs_events = Obs.counter obs "sim.events";
     obs_depth_hw = Obs.gauge obs "sim.queue_depth_hw";
-    obs_occ_hw = Obs.gauge obs "sim.queue_occupancy_hw";
   }
 
 let now t = t.now
@@ -28,12 +26,9 @@ let schedule t ~time ?(prio = Event_queue.prio_message) payload =
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now %g" time t.now);
   Event_queue.add t.queue ~time ~prio payload;
-  if Obs.Gauge.active t.obs_depth_hw then begin
+  if Obs.Gauge.active t.obs_depth_hw then
     Obs.Gauge.observe_max t.obs_depth_hw
-      (float_of_int (Event_queue.size t.queue));
-    Obs.Gauge.observe_max t.obs_occ_hw
-      (float_of_int (Event_queue.occupancy t.queue))
-  end
+      (float_of_int (Event_queue.size t.queue))
 
 let pending t = Event_queue.size t.queue
 

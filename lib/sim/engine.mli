@@ -3,15 +3,15 @@
     The engine owns the global notion of real time.  Time only moves forward:
     it advances to the timestamp of each event as it is delivered, or to an
     explicit target in {!run_until}.  Handlers may schedule further events at
-    or after the current time. *)
+    or after the current time.  Pending events wait in an {!Event_queue}
+    (a flat binary heap), popped in (time, priority class, insertion)
+    order. *)
 
 type 'a t
 
-val create :
-  ?start_time:float -> ?geometry:Event_queue.geometry -> ?expected:int ->
-  unit -> 'a t
-(** [geometry] and [expected] (a presize hint for the number of
-    concurrently pending events) are forwarded to {!Event_queue.create}. *)
+val create : ?start_time:float -> ?expected:int -> unit -> 'a t
+(** [expected] (a presize hint for the number of concurrently pending
+    events) is forwarded to {!Event_queue.create}. *)
 
 val now : 'a t -> float
 (** Current real time. *)
@@ -26,6 +26,7 @@ val next : 'a t -> (float * 'a) option
 (** Deliver the earliest event, advancing [now] to its time. *)
 
 val peek_time : 'a t -> float option
+(** Time of the earliest pending event, if any; [now] does not move. *)
 
 val step : 'a t -> handler:(float -> 'a -> unit) -> bool
 (** Deliver one event through [handler]; [false] if the queue was empty. *)

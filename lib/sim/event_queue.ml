@@ -1,34 +1,18 @@
-(* The scheduler: a timing wheel / calendar queue exploiting the
-   bounded-delay structure of the model.  Deliveries land in
-   [delta - eps, delta + eps] of their send time and timers fire at round
-   boundaries, so the active time horizon is narrow.  Events are hashed
-   into [buckets] fixed-width time buckets (O(1) insert); each bucket
-   stores its events struct-of-arrays and is sorted lazily when it becomes
-   the current bucket.  Events beyond the horizon
-   [base + (epoch + buckets) * width] go to an overflow heap ({!Heap}) and
-   are promoted into the wheel as the current bucket (the epoch) advances.
-   Occupied buckets are tracked in a bitmask so advancing skips empty
-   buckets a word at a time.
+(* The scheduler: one binary min-heap over (time, prio, seq), where seq is
+   the insertion sequence number.  The heap is held struct-of-arrays in
+   three flat arrays - unboxed float times, packed (prio, seq) int keys and
+   payloads - so a comparison reads two unboxed words and never follows a
+   pointer.  Sifts move a hole instead of swapping entries: the moving
+   entry is held in locals and written once, at its final slot, so each
+   level costs one copy rather than a three-array swap.  Keys are unique
+   (seq is), so the order is total and pops are deterministic.
 
-   Pop order is (time, prio, seq), where seq is the insertion sequence
-   number: bucket b only holds events with time < start of bucket b+1, so
-   the head of the (sorted) current bucket is the global minimum, and ties
-   in time can never span a bucket boundary. *)
-
-type geometry = { width : float; buckets : int }
-
-type 'a entry = { time : float; prio : int; seq : int; payload : 'a }
+   Slots past [len] keep stale entries until overwritten, so the heap can
+   pin up to its high-water mark of popped payloads. *)
 
 let prio_message = 0
 
 let prio_timer = 1
-
-let cmp_entry a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.prio b.prio in
-    if c <> 0 then c else Int.compare a.seq b.seq
 
 (* Priority classes are tiny by design (two are used), so (prio, seq) packs
    into one int whose natural order is the lexicographic (prio, seq) order:
@@ -40,440 +24,145 @@ let max_prio = (1 lsl prio_bits) - 1
 
 let seq_bits = 42
 
-let pack_key ~prio ~seq = (prio lsl seq_bits) lor seq
-
-(* A bucket's live events occupy slots [pos, len); [0, pos) were popped.
-   [dirty] means the live slice may be unsorted (events were appended since
-   the last sort).  Slots past [len] keep stale elements until overwritten,
-   matching the documented [Heap.clear] retention behaviour. *)
-type 'a bucket = {
+type 'a t = {
   mutable times : float array;
-  mutable keys : int array; (* packed (prio, seq) *)
+  mutable keys : int array;
   mutable pays : 'a array;
   mutable len : int;
-  mutable pos : int;
-  mutable dirty : bool;
-}
-
-type 'a wheel = {
-  width : float;
-  nbuckets : int; (* a power of two *)
-  mask : int; (* nbuckets - 1, for physical-index masking *)
-  init_cap : int;
-  dummy : 'a bucket;
-  (* Bucket records are allocated on first use; untouched slots share
-     [dummy] (always empty), so creating a wheel costs one word per bucket
-     rather than a record per bucket. *)
-  wbuckets : 'a bucket array;
-  occ : int array; (* bitmask over physical bucket indices, 63 bits/word *)
-  overflow : 'a entry Heap.t;
-  mutable base : float; (* real time at the start of logical bucket 0 *)
-  mutable epoch : int; (* logical number of the current bucket *)
-  mutable wheel_count : int; (* live events in buckets (overflow excluded) *)
   mutable next_seq : int; (* insertion sequence number of the next add *)
+  init_cap : int; (* capacity of the first allocation *)
 }
 
-type 'a t = 'a wheel
+(* The arrays are allocated on the first add, which supplies the payload
+   that fills a fresh ['a array]. *)
+let create ?(expected = 0) () =
+  {
+    times = [||];
+    keys = [||];
+    pays = [||];
+    len = 0;
+    next_seq = 0;
+    init_cap = min (1 lsl 22) (max 16 expected);
+  }
 
-(* -- occupancy bitmask ---------------------------------------------------- *)
+let size q = q.len
 
-(* 32 bits per word so word/bit extraction is a shift and a mask, not a
-   division (OCaml ints are 63-bit, so 64 would not fit anyway). *)
-let bpw_shift = 5
+let is_empty q = q.len = 0
 
-let bpw = 1 lsl bpw_shift
+(* Strict (time, key) order.  Times are finite (checked in [add]), so the
+   float operators agree with [Float.compare].  Inlined, like [move] and
+   [place], so times stay unboxed through the sifts. *)
+let[@inline] before (t : float) (k : int) (t' : float) (k' : int) =
+  t < t' || (t = t' && k < k')
 
-let bpw_mask = bpw - 1
-
-let set_bit occ i =
-  let wi = i lsr bpw_shift in
-  Array.unsafe_set occ wi
-    (Array.unsafe_get occ wi lor (1 lsl (i land bpw_mask)))
-
-let clear_bit occ i =
-  let wi = i lsr bpw_shift in
-  Array.unsafe_set occ wi
-    (Array.unsafe_get occ wi land lnot (1 lsl (i land bpw_mask)))
-
-let ctz x =
-  let rec go x i = if x land 1 = 1 then i else go (x lsr 1) (i + 1) in
-  go x 0
-
-(* Next occupied physical bucket at or after [s], scanning circularly.  At
-   least one bucket must be occupied. *)
-let find_occupied w s =
-  let occ = w.occ in
-  let nwords = Array.length occ in
-  let wi = s lsr bpw_shift in
-  let high = occ.(wi) land ((-1) lsl (s land bpw_mask)) in
-  if high <> 0 then (wi lsl bpw_shift) + ctz high
-  else begin
-    let rec words k =
-      if k > nwords then invalid_arg "Event_queue: occupancy mask empty"
-      else
-        let w2 = (wi + k) mod nwords in
-        if occ.(w2) <> 0 then (w2 lsl bpw_shift) + ctz occ.(w2)
-        else words (k + 1)
-    in
-    (* At k = nwords this re-checks word [wi]: its high bits are known zero,
-       so a hit there is the wrapped-around low range. *)
-    words 1
-  end
-
-(* -- per-bucket struct-of-arrays storage ---------------------------------- *)
-
-let bucket_make () =
-  { times = [||]; keys = [||]; pays = [||]; len = 0; pos = 0; dirty = false }
-
-let bucket_grow b payload init_cap =
-  let cap = Array.length b.times in
-  let ncap = if cap = 0 then init_cap else 2 * cap in
+let grow q payload =
+  let cap = Array.length q.times in
+  let ncap = if cap = 0 then q.init_cap else 2 * cap in
   let nt = Array.make ncap 0. in
   let nk = Array.make ncap 0 in
   let nv = Array.make ncap payload in
-  Array.blit b.times 0 nt 0 b.len;
-  Array.blit b.keys 0 nk 0 b.len;
-  Array.blit b.pays 0 nv 0 b.len;
-  b.times <- nt;
-  b.keys <- nk;
-  b.pays <- nv
+  Array.blit q.times 0 nt 0 q.len;
+  Array.blit q.keys 0 nk 0 q.len;
+  Array.blit q.pays 0 nv 0 q.len;
+  q.times <- nt;
+  q.keys <- nk;
+  q.pays <- nv
 
-let bucket_insert w phys ~time ~key payload =
-  let b0 = Array.unsafe_get w.wbuckets phys in
-  let b =
-    if b0 != w.dummy then b0
-    else begin
-      let nb = bucket_make () in
-      w.wbuckets.(phys) <- nb;
-      nb
-    end
-  in
-  if b.len = Array.length b.times then begin
-    (* Reclaim the popped prefix before growing. *)
-    if b.pos > 0 then begin
-      let m = b.len - b.pos in
-      Array.blit b.times b.pos b.times 0 m;
-      Array.blit b.keys b.pos b.keys 0 m;
-      Array.blit b.pays b.pos b.pays 0 m;
-      b.len <- m;
-      b.pos <- 0
-    end;
-    if b.len = Array.length b.times then bucket_grow b payload w.init_cap
-  end;
-  let i = b.len in
-  (* [i] < capacity is guaranteed by the grow step above. *)
-  Array.unsafe_set b.times i time;
-  Array.unsafe_set b.keys i key;
-  Array.unsafe_set b.pays i payload;
-  b.len <- i + 1;
-  if i > b.pos then b.dirty <- true;
-  set_bit w.occ phys;
-  w.wheel_count <- w.wheel_count + 1
+(* Every index below is inside [0, len) (or the slot being filled, below
+   capacity), so accesses are unchecked. *)
+let[@inline] move q ~src ~dst =
+  Array.unsafe_set q.times dst (Array.unsafe_get q.times src);
+  Array.unsafe_set q.keys dst (Array.unsafe_get q.keys src);
+  Array.unsafe_set q.pays dst (Array.unsafe_get q.pays src)
 
-(* -- sorting the live slice of a bucket ----------------------------------- *)
+let[@inline] place q i t k v =
+  Array.unsafe_set q.times i t;
+  Array.unsafe_set q.keys i k;
+  Array.unsafe_set q.pays i v
 
-(* Compare slot [i] against (t, k).  Callers only pass indices inside the
-   live slice, so accesses are unchecked. *)
-let cmp_slot b i t k =
-  let c = Float.compare (Array.unsafe_get b.times i) t in
-  if c <> 0 then c else Int.compare (Array.unsafe_get b.keys i) k
-
-let cmp_slot_ij b i j = cmp_slot b i b.times.(j) b.keys.(j)
-
-let swap_slots b i j =
-  let t = b.times.(i) in
-  b.times.(i) <- b.times.(j);
-  b.times.(j) <- t;
-  let k = b.keys.(i) in
-  b.keys.(i) <- b.keys.(j);
-  b.keys.(j) <- k;
-  let v = b.pays.(i) in
-  b.pays.(i) <- b.pays.(j);
-  b.pays.(j) <- v
-
-(* Insertion sort of [lo, hi): O(slice + inversions), so re-sorting a
-   nearly-sorted slice after a few appends is linear. *)
-let insertion_sort b lo hi =
-  for i = lo + 1 to hi - 1 do
-    let t = Array.unsafe_get b.times i in
-    let k = Array.unsafe_get b.keys i in
-    let v = Array.unsafe_get b.pays i in
-    let j = ref (i - 1) in
-    while !j >= lo && cmp_slot b !j t k > 0 do
-      let m = !j in
-      Array.unsafe_set b.times (m + 1) (Array.unsafe_get b.times m);
-      Array.unsafe_set b.keys (m + 1) (Array.unsafe_get b.keys m);
-      Array.unsafe_set b.pays (m + 1) (Array.unsafe_get b.pays m);
-      decr j
-    done;
-    let m = !j + 1 in
-    Array.unsafe_set b.times m t;
-    Array.unsafe_set b.keys m k;
-    Array.unsafe_set b.pays m v
-  done
-
-(* In-place quicksort (Hoare partition, median-of-three) for large slices;
-   keys are unique (seq is), so no stability concerns. *)
-let rec qsort b lo hi =
-  if hi - lo < 32 then insertion_sort b lo hi
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    if cmp_slot_ij b mid lo < 0 then swap_slots b mid lo;
-    if cmp_slot_ij b (hi - 1) lo < 0 then swap_slots b (hi - 1) lo;
-    if cmp_slot_ij b (hi - 1) mid < 0 then swap_slots b (hi - 1) mid;
-    let pt = b.times.(mid) in
-    let pk = b.keys.(mid) in
-    let i = ref (lo - 1) in
-    let j = ref hi in
-    let cut = ref 0 in
-    let looping = ref true in
-    while !looping do
-      incr i;
-      while cmp_slot b !i pt pk < 0 do
-        incr i
-      done;
-      decr j;
-      while cmp_slot b !j pt pk > 0 do
-        decr j
-      done;
-      if !i >= !j then begin
-        cut := !j;
-        looping := false
-      end
-      else swap_slots b !i !j
-    done;
-    qsort b lo (!cut + 1);
-    qsort b (!cut + 1) hi
-  end
-
-let sort_slice b =
-  if b.dirty then begin
-    if b.len - b.pos < 32 then insertion_sort b b.pos b.len
-    else qsort b b.pos b.len;
-    b.dirty <- false
-  end
-
-(* -- wheel epoch movement and overflow promotion -------------------------- *)
-
-let horizon_end w =
-  w.base +. (float_of_int (w.epoch + w.nbuckets) *. w.width)
-
-let insert_in_horizon w ~time ~prio ~seq payload =
-  let fb = Float.floor ((time -. w.base) /. w.width) in
-  let lb = if fb <= float_of_int w.epoch then w.epoch else int_of_float fb in
-  bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq) payload
-
-(* Invariant: every overflow entry has time >= horizon_end.  Restore it after
-   the epoch advances. *)
-let promote w =
-  let hend = horizon_end w in
-  let looping = ref true in
-  while !looping do
-    match Heap.peek w.overflow with
-    | Some e when e.time < hend ->
-      let e = Heap.pop_exn w.overflow in
-      insert_in_horizon w ~time:e.time ~prio:e.prio ~seq:e.seq e.payload
-    | _ -> looping := false
-  done
-
-(* The wheel is empty but the overflow heap is not: restart the wheel at the
-   overflow minimum.  Re-anchoring [base] here keeps logical bucket numbers
-   small no matter how far ahead the overflow reaches. *)
-let restart_at_overflow w =
-  let e = Heap.pop_exn w.overflow in
-  w.base <- e.time;
-  w.epoch <- 0;
-  bucket_insert w 0 ~time:e.time ~key:(pack_key ~prio:e.prio ~seq:e.seq)
-    e.payload;
-  promote w
-
-(* The current bucket is exhausted but the wheel is not: jump the epoch to
-   the next occupied bucket, then promote newly in-horizon overflow. *)
-let advance_epoch w =
-  let phys = w.epoch land w.mask in
-  let next = find_occupied w ((phys + 1) land w.mask) in
-  let d = if next > phys then next - phys else next + w.nbuckets - phys in
-  w.epoch <- w.epoch + d;
-  promote w
-
-(* Establish: the current bucket holds the global minimum at [pos] and its
-   live slice is sorted.  False iff the queue is empty.  May advance the
-   epoch, promote overflow and sort a bucket, none of which is observable
-   through the interface. *)
-let rec ensure_min w =
-  if w.wheel_count > 0 then begin
-    let b = w.wbuckets.(w.epoch land w.mask) in
-    if b.pos >= b.len then begin
-      advance_epoch w;
-      ensure_min w
-    end
-    else begin
-      sort_slice b;
-      true
-    end
-  end
-  else if Heap.is_empty w.overflow then false
-  else begin
-    restart_at_overflow w;
-    ensure_min w
-  end
-
-(* Drop the head of the current bucket (caller read it already).  Resetting
-   an emptied bucket eagerly keeps the occupancy mask exact and makes
-   re-anchoring on an empty queue O(1). *)
-let drop_head w =
-  let phys = w.epoch land w.mask in
-  let b = w.wbuckets.(phys) in
-  b.pos <- b.pos + 1;
-  w.wheel_count <- w.wheel_count - 1;
-  if b.pos >= b.len then begin
-    b.len <- 0;
-    b.pos <- 0;
-    b.dirty <- false;
-    clear_bit w.occ phys
-  end
-
-(* -- construction --------------------------------------------------------- *)
-
-let default_geometry = { width = 0.25; buckets = 1024 }
-
-let create ?(geometry = default_geometry) ?(expected = 0) () =
-  let { width; buckets } = geometry in
-  if not (Float.is_finite width) || width <= 0. then
-    invalid_arg "Event_queue.create: wheel width must be finite and > 0";
-  if buckets < 1 then
-    invalid_arg "Event_queue.create: wheel needs at least one bucket";
-  (* Round the bucket count up to a power of two so physical indexing is a
-     mask instead of a division. *)
-  let nbuckets =
-    let rec p2 k = if k >= buckets then k else p2 (2 * k) in
-    p2 1
-  in
-  let init_cap = min 4096 (max 16 (expected / nbuckets)) in
-  let dummy = bucket_make () in
-  let w =
-    {
-      width;
-      nbuckets;
-      mask = nbuckets - 1;
-      init_cap;
-      dummy;
-      wbuckets = Array.make nbuckets dummy;
-      occ = Array.make ((nbuckets + bpw - 1) / bpw) 0;
-      overflow = Heap.create ~cmp:cmp_entry;
-      base = 0.;
-      epoch = 0;
-      wheel_count = 0;
-      next_seq = 0;
-    }
-  in
-  w
-
-let geometry w = { width = w.width; buckets = w.nbuckets }
-
-(* -- queue interface ------------------------------------------------------ *)
-
-let size w = w.wheel_count + Heap.size w.overflow
-
-let is_empty q = size q = 0
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
-let occupancy w =
-  Array.fold_left (fun acc word -> acc + popcount word) 0 w.occ
-
-let add w ~time ~prio payload =
+let add q ~time ~prio payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.add: non-finite time";
   if prio < 0 || prio > max_prio then
     invalid_arg "Event_queue.add: prio out of range";
-  let seq = w.next_seq in
-  w.next_seq <- seq + 1;
-  if w.wheel_count = 0 && Heap.is_empty w.overflow then begin
-    (* Empty queue: re-anchor so this event lands in bucket 0. *)
-    w.base <- time;
-    w.epoch <- 0
-  end;
-  (* For q >= 0, int_of_float truncation IS floor, saving a libm call;
-     q < 0 (a time before the anchor, which the engine never produces but
-     this interface allows) clamps into the current bucket, where the lazy
-     sort restores global order. *)
-  let q = (time -. w.base) /. w.width in
-  if q >= float_of_int (w.epoch + w.nbuckets) then
-    Heap.push w.overflow { time; prio; seq; payload }
-  else begin
-    let lb =
-      if q <= float_of_int w.epoch then w.epoch
-      else
-        let lb = int_of_float q in
-        if lb < w.epoch then w.epoch else lb
-    in
-    bucket_insert w (lb land w.mask) ~time ~key:(pack_key ~prio ~seq) payload
+  let key = (prio lsl seq_bits) lor q.next_seq in
+  q.next_seq <- q.next_seq + 1;
+  if q.len = Array.length q.times then grow q payload;
+  (* Sift up: move the hole at the new leaf toward the root while its
+     parent orders after the new entry. *)
+  let i = ref q.len in
+  q.len <- q.len + 1;
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) lsr 1 in
+    if before time key (Array.unsafe_get q.times p) (Array.unsafe_get q.keys p)
+    then begin
+      move q ~src:p ~dst:!i;
+      i := p
+    end
+    else rising := false
+  done;
+  place q !i time key payload
+
+(* Drop the root: the last leaf fills the hole at the root, which sinks
+   past every child that orders before it.  Allocation-free. *)
+let remove_min q =
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    let t = Array.unsafe_get q.times n in
+    let k = Array.unsafe_get q.keys n in
+    let v = Array.unsafe_get q.pays n in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && before (Array.unsafe_get q.times r) (Array.unsafe_get q.keys r)
+                 (Array.unsafe_get q.times l) (Array.unsafe_get q.keys l)
+          then r
+          else l
+        in
+        if before (Array.unsafe_get q.times c) (Array.unsafe_get q.keys c) t k
+        then begin
+          move q ~src:c ~dst:!i;
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    place q !i t k v
   end
 
-let peek_time w =
-  if ensure_min w then begin
-    let b = w.wbuckets.(w.epoch land w.mask) in
-    Some b.times.(b.pos)
-  end
-  else None
+let peek_time q = if q.len = 0 then None else Some q.times.(0)
 
-let pop_if_before w ~until =
-  if not (ensure_min w) then None
-  else begin
-    let b = w.wbuckets.(w.epoch land w.mask) in
-    let i = b.pos in
-    let time = b.times.(i) in
+let pop_if_before q ~until =
+  if q.len = 0 then None
+  else
+    let time = q.times.(0) in
     if time > until then None
     else begin
-      let payload = b.pays.(i) in
-      drop_head w;
+      let payload = q.pays.(0) in
+      remove_min q;
       Some (time, payload)
     end
-  end
 
 let pop q = pop_if_before q ~until:Float.infinity
 
-let iter_pop_until w ~until ~f =
+let iter_pop_until q ~until ~f =
   let count = ref 0 in
-  let looping = ref true in
-  while !looping do
-    if not (ensure_min w) then looping := false
-    else begin
-      let phys = w.epoch land w.mask in
-      let b = w.wbuckets.(phys) in
-      (* Pop a run out of the current bucket without re-deriving it per
-         event.  The run ends when the slice empties (reset eagerly, BEFORE
-         calling [f]: [f] may add to an empty queue, which re-anchors the
-         epoch) or when [f] dirties the slice by adding into this bucket;
-         [ensure_min] then re-establishes the minimum.  Otherwise
-         [pos < len] still holds at the top of the loop. *)
-      let running = ref true in
-      while !running do
-        let i = b.pos in
-        let time = Array.unsafe_get b.times i in
-        if time > until then begin
-          running := false;
-          looping := false
-        end
-        else begin
-          let payload = Array.unsafe_get b.pays i in
-          b.pos <- i + 1;
-          w.wheel_count <- w.wheel_count - 1;
-          if b.pos >= b.len then begin
-            b.len <- 0;
-            b.pos <- 0;
-            b.dirty <- false;
-            clear_bit w.occ phys;
-            running := false
-          end;
-          incr count;
-          f time payload;
-          if !running && b.dirty then running := false
-        end
-      done
-    end
+  (* The heap is whole again before [f] runs, so [f] may add, including
+     inside the window. *)
+  while q.len > 0 && not (q.times.(0) > until) do
+    let time = q.times.(0) in
+    let payload = q.pays.(0) in
+    remove_min q;
+    incr count;
+    f time payload
   done;
   !count

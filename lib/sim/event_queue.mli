@@ -8,18 +8,9 @@
     in just under the wire").  Schedule ordinary and START messages with
     {!prio_message} and timers with {!prio_timer}.
 
-    The implementation is a timing wheel / calendar queue exploiting the
-    model's bounded delays — O(1) bucket insert, lazy per-bucket sort, an
-    occupancy bitmask to skip empty buckets, and an overflow {!Heap} for
-    events beyond the wheel's horizon ([buckets * width] ahead of the
-    current bucket) which are promoted as the {e bucket epoch} (the
-    logical number of the current bucket) advances. *)
-
-type geometry = { width : float; buckets : int }
-(** [width] is the bucket granularity in simulated seconds — for the
-    clock-synchronization workloads a fraction of the delay jitter [eps]
-    is the natural choice; [buckets] is the wheel size, giving a horizon
-    of [width * buckets] before events overflow to the heap. *)
+    The implementation is one binary min-heap held in three flat arrays
+    (times, packed (prio, seq) keys, payloads): O(log n) add and pop, and
+    a pop allocates nothing inside the queue. *)
 
 type 'a t
 
@@ -30,33 +21,19 @@ val prio_timer : int
 (** Priority class for TIMER messages (delivered after messages at equal
     time). *)
 
-val default_geometry : geometry
-(** 1024 buckets of 0.25 s. *)
-
-val create : ?geometry:geometry -> ?expected:int -> unit -> 'a t
-(** [geometry] defaults to {!default_geometry}.  [expected] is a capacity
-    hint: each bucket is presized to [expected / buckets], so a queue that
-    stays within the hint never re-blits while growing.
-    @raise Invalid_argument on a non-positive or non-finite width, or
-    fewer than one bucket. *)
-
-val geometry : 'a t -> geometry
-(** The queue's actual geometry (the bucket count rounded up to a power
-    of two). *)
+val create : ?expected:int -> unit -> 'a t
+(** [expected] is a capacity hint: the first allocation holds
+    [max 16 expected] events (at most 2^22), so a queue that stays within
+    the hint never re-blits while growing.  Order does not depend on it. *)
 
 val size : 'a t -> int
-
-val occupancy : 'a t -> int
-(** Occupied bucket count of the wheel's bitmask (how spread out the
-    pending horizon is; telemetry reads it for the engine's occupancy
-    gauge). *)
 
 val is_empty : 'a t -> bool
 
 val add : 'a t -> time:float -> prio:int -> 'a -> unit
 (** @raise Invalid_argument if [time] is not finite or [prio] is outside
     [0, 2^20) — priority {e classes} are few and small by design, which
-    lets the wheel carry (prio, seq) as one packed integer. *)
+    lets the queue carry (prio, seq) as one packed integer. *)
 
 val peek_time : 'a t -> float option
 (** Earliest scheduled time, if any. *)

@@ -665,7 +665,7 @@ let diff_tests =
               Record.Series ("E/profile.fill.ns", [| 1.; 2. |], [| v; v +. 7. |]);
               Record.Span
                 ("E/phase.fill", { Record.count = 8; total_s = v; max_s = v });
-              Record.Gauge ("E/engine.wheel.depth", v);
+              Record.Gauge ("E/sim.queue_depth_hw", v);
             ]
         in
         let a = with_timing 10. and b = with_timing 1000. in
@@ -1197,8 +1197,81 @@ let shard_profile_tests =
         check_true "inactive" (not (Profile.active Profile.disabled));
         check_int "result" 7
           (Profile.time Profile.disabled Profile.Fill (fun () -> 7));
-        Profile.record_ns Profile.disabled Profile.Checksum 5;
-        check_true "time is monotone nonneg" (Profile.now_ns () >= 0));
+        Profile.record_ns Profile.disabled Profile.Checksum 5);
+    t "profile table and top bars follow the round's phase order" (fun () ->
+        (* Spans listed alphabetically, the order the registry dumps them;
+           the table must re-sort them into Profile.phases order. *)
+        let span name =
+          Record.Span
+            ( "cell/profile." ^ name,
+              { Record.count = 2; total_s = 0.002; max_s = 0.001 } )
+        in
+        let rep =
+          Report.of_records
+            (List.map span
+               [ "advance"; "apply"; "checksum"; "fill"; "shard_merge" ])
+        in
+        let expected = List.map Profile.phase_name Profile.phases in
+        check_true "five phases, pipeline order"
+          (expected
+          = [ "fill"; "apply"; "advance"; "shard_merge"; "checksum" ]);
+        (* The first line, indentation aside, that starts with the phase. *)
+        let positions text =
+          let lines = List.map String.trim (String.split_on_char '\n' text) in
+          List.map
+            (fun p ->
+              let rec find i = function
+                | [] -> -1
+                | l :: rest ->
+                  if String.starts_with ~prefix:(p ^ " ") l then i
+                  else find (i + 1) rest
+              in
+              find 0 lines)
+            expected
+        in
+        let in_order text =
+          let ps = positions text in
+          List.for_all (fun i -> i >= 0) ps && List.sort compare ps = ps
+        in
+        let table = Format.asprintf "%a" (Report.render ?focus:None) rep in
+        check_true "report table lists every phase in order" (in_order table);
+        let frame = Csync_obs.Top.frame rep ~path:"phases.btrace" in
+        check_true "top bars list every phase in order" (in_order frame));
+    t "monotonic clock never decreases and spans are non-negative" (fun () ->
+        let prev = ref (Obs.now_ns ()) in
+        for _ = 1 to 200_000 do
+          let now = Obs.now_ns () in
+          if now < !prev then
+            Alcotest.failf "clock went back: %d after %d" now !prev;
+          prev := now
+        done;
+        let reg = Obs.create () in
+        let sp = Obs.span reg "t.span" in
+        let sh = Shard.create reg in
+        let shsp = Shard.span sh "t.shard" in
+        let prof = Profile.create reg in
+        for i = 1 to 1000 do
+          Obs.Span.time sp (fun () -> ignore (Sys.opaque_identity i));
+          Shard.Span.time shsp (fun () -> ignore (Sys.opaque_identity i));
+          Profile.time prof Profile.Apply (fun () ->
+              ignore (Sys.opaque_identity i))
+        done;
+        Shard.merge sh;
+        let rep = report_of_registry reg in
+        List.iter
+          (fun name ->
+            let s = List.assoc name (Report.spans rep) in
+            check_int (name ^ " count") 1000 s.Report.count;
+            check_true (name ^ " total >= 0") (s.Report.total_s >= 0.);
+            check_true (name ^ " max >= 0") (s.Report.max_s >= 0.))
+          [ "t.span"; "t.shard"; "profile.apply" ];
+        let _, _, ys =
+          List.find
+            (fun (n, _, _) -> n = "profile.apply.ns")
+            (Report.series rep)
+        in
+        check_true "every phase time >= 0"
+          (Array.for_all (fun y -> y >= 0.) ys));
     t "profiler timing also records when the thunk raises" (fun () ->
         let reg = Obs.create () in
         let p = Profile.create reg in

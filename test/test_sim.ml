@@ -1,8 +1,7 @@
-(* Tests for the simulation substrate: RNG, heap, event queue, engine and
-   trace recorder. *)
+(* Tests for the simulation substrate: RNG, event queue, engine and trace
+   recorder. *)
 
 module Rng = Csync_sim.Rng
-module Heap = Csync_sim.Heap
 module Event_queue = Csync_sim.Event_queue
 module Engine = Csync_sim.Engine
 module Trace = Csync_sim.Trace
@@ -74,68 +73,6 @@ let rng_tests =
         Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted);
   ]
 
-let heap_tests =
-  [
-    t "pop order is sorted" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-        let rec drain acc =
-          match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (drain []));
-    t "peek does not remove" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 2;
-        check_true "peek" (Heap.peek h = Some 2);
-        check_int "size" 1 (Heap.size h));
-    t "pop_exn on empty raises" (fun () ->
-        check_raises_invalid "empty" (fun () ->
-            Heap.pop_exn (Heap.create ~cmp:Int.compare)));
-    t "clear empties" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 1;
-        Heap.clear h;
-        check_true "empty" (Heap.is_empty h));
-    t "clear keeps capacity; refill works" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        for i = 0 to 99 do
-          Heap.push h i
-        done;
-        let cap = Heap.capacity h in
-        check_true "grown" (cap >= 100);
-        Heap.clear h;
-        check_int "still reserved" cap (Heap.capacity h);
-        check_true "empty" (Heap.is_empty h);
-        List.iter (Heap.push h) [ 3; 1; 2 ];
-        check_int "no realloc" cap (Heap.capacity h);
-        Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Heap.to_sorted_list h));
-    t "reserve grows once and preserves contents" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 9; 4 ];
-        Heap.reserve h ~dummy:0 500;
-        check_true "reserved" (Heap.capacity h >= 500);
-        let cap = Heap.capacity h in
-        Heap.reserve h ~dummy:0 10;
-        check_int "no shrink" cap (Heap.capacity h);
-        for i = 0 to 400 do
-          Heap.push h i
-        done;
-        check_int "no regrow" cap (Heap.capacity h);
-        check_int "size" 403 (Heap.size h);
-        check_true "min" (Heap.peek h = Some 0));
-    t "to_sorted_list non-destructive" (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 3; 1; 2 ];
-        Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Heap.to_sorted_list h);
-        check_int "size intact" 3 (Heap.size h));
-    qcheck ~name:"heap sorts like List.sort"
-      QCheck2.Gen.(list (int_range (-1000) 1000))
-      (fun l ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) l;
-        Heap.to_sorted_list h = List.sort Int.compare l);
-  ]
-
 let queue_tests =
   [
     t "orders by time" (fun () ->
@@ -154,6 +91,24 @@ let queue_tests =
         Event_queue.add q ~time:1. ~prio:0 "first";
         Event_queue.add q ~time:1. ~prio:0 "second";
         check_true "fifo" (Event_queue.pop q = Some (1., "first")));
+    t "pop order is sorted" (fun () ->
+        let q = Event_queue.create () in
+        List.iteri
+          (fun i tm -> Event_queue.add q ~time:tm ~prio:0 i)
+          [ 5.; 1.; 4.; 1.; 3. ];
+        let rec drain acc =
+          match Event_queue.pop q with
+          | None -> List.rev acc
+          | Some x -> drain (x :: acc)
+        in
+        check_true "sorted, ties FIFO"
+          (drain [] = [ (1., 1); (1., 3); (3., 4); (4., 2); (5., 0) ]));
+    t "peek does not remove" (fun () ->
+        let q = Event_queue.create () in
+        Event_queue.add q ~time:2. ~prio:0 "x";
+        check_true "peek" (Event_queue.peek_time q = Some 2.);
+        check_int "size" 1 (Event_queue.size q);
+        check_true "still pops" (Event_queue.pop q = Some (2., "x")));
     t "peek_time" (fun () ->
         let q = Event_queue.create () in
         check_true "empty" (Event_queue.peek_time q = None);
@@ -306,14 +261,13 @@ let tie_break_tests =
         List.rev !order = expected);
   ]
 
-(* The timing wheel's pop order must be exactly that of a sorted-list
-   reference: pending entries kept in a list, each pop taking the head of
+(* The queue's pop order must be exactly that of a sorted-list reference:
+   pending entries kept in a list, each pop taking the head of
    [List.stable_sort] on (time, prio, seq) - time, then prio class, then
    FIFO insertion order.  Checked over any insertion pattern, including
-   tie clusters, interleaved pops, adds behind the current bucket window,
-   and events past the wheel horizon (overflow promotion).  Geometry is
-   drawn randomly so tiny wheels (1-2 buckets, narrow horizons) are
-   exercised as hard as roomy ones. *)
+   tie clusters, interleaved pops and adds earlier than the current
+   minimum.  The time grid's spacing is drawn from milliseconds to 10^9 s,
+   so clustered and wildly spread horizons are both exercised. *)
 module Sorted_ref = struct
   type t = { mutable pending : (float * int * int * int) list; mutable seq : int }
 
@@ -336,21 +290,21 @@ module Sorted_ref = struct
   let size r = List.length r.pending
 end
 
-let wheel_tests =
-  let drain_both wheel reference =
+let reference_tests =
+  let drain_both q reference =
     let ok = ref true in
     let more = ref true in
     while !more do
-      let a = Event_queue.pop wheel and b = reference () in
+      let a = Event_queue.pop q and b = reference () in
       if a <> b then ok := false;
       if a = None && b = None then more := false
     done;
     !ok
   in
   [
-    qcheck ~count:500 ~name:"wheel pops exactly the sorted-list reference order"
+    qcheck ~count:500 ~name:"queue pops exactly the sorted-list reference order"
       QCheck2.Gen.(
-        triple
+        pair
           (list_size (int_range 1 150)
              (frequency
                 [
@@ -360,11 +314,10 @@ let wheel_tests =
                       (int_range 0 60) (int_range 0 3) );
                   (2, pure `Pop);
                 ]))
-          (int_range 0 3) (int_range 0 3))
-      (fun (ops, wi, bi) ->
-        let width = [| 0.1; 0.3; 1.0; 5.0 |].(wi) in
-        let buckets = [| 1; 2; 8; 64 |].(bi) in
-        let wheel = Event_queue.create ~geometry:{ width; buckets } () in
+          (int_range 0 3))
+      (fun (ops, si) ->
+        let spacing = [| 1e-3; 0.25; 7.5; 1e9 |].(si) in
+        let q = Event_queue.create () in
         let reference = Sorted_ref.create () in
         let next_id = ref 0 in
         let ok = ref true in
@@ -372,48 +325,43 @@ let wheel_tests =
           (fun op ->
             match op with
             | `Add (tm, p) ->
-              let time = float_of_int tm *. 0.25 in
-              Event_queue.add wheel ~time ~prio:p !next_id;
+              let time = float_of_int tm *. spacing in
+              Event_queue.add q ~time ~prio:p !next_id;
               Sorted_ref.add reference ~time ~prio:p !next_id;
               incr next_id
             | `Pop ->
-              if Event_queue.pop wheel <> Sorted_ref.pop reference then
+              if Event_queue.pop q <> Sorted_ref.pop reference then
                 ok := false)
           ops;
         !ok
-        && Event_queue.size wheel = Sorted_ref.size reference
-        && drain_both wheel (fun () -> Sorted_ref.pop reference));
-    qcheck ~count:300 ~name:"wheel pop_if_before agrees with the sorted-list reference"
+        && Event_queue.size q = Sorted_ref.size reference
+        && drain_both q (fun () -> Sorted_ref.pop reference));
+    qcheck ~count:300
+      ~name:"queue pop_if_before agrees with the sorted-list reference"
       QCheck2.Gen.(
         pair
           (list_size (int_range 1 80)
              (pair (int_range 0 40) (int_range 0 1)))
           (list_size (int_range 1 40) (int_range 0 45)))
       (fun (adds, cuts) ->
-        let wheel =
-          Event_queue.create ~geometry:{ width = 0.5; buckets = 4 } ()
-        in
+        let q = Event_queue.create () in
         let reference = Sorted_ref.create () in
         List.iteri
           (fun i (tm, prio) ->
             let time = float_of_int tm in
-            Event_queue.add wheel ~time ~prio i;
+            Event_queue.add q ~time ~prio i;
             Sorted_ref.add reference ~time ~prio i)
           adds;
         List.for_all
           (fun cut ->
             let until = float_of_int cut in
-            Event_queue.pop_if_before wheel ~until
+            Event_queue.pop_if_before q ~until
             = Sorted_ref.pop_if_before reference ~until)
           cuts
-        && drain_both wheel (fun () -> Sorted_ref.pop reference));
-    t "overflow promotes in order across the horizon" (fun () ->
-        let q =
-          Event_queue.create ~geometry:{ width = 1.0; buckets = 4 } ()
-        in
-        (* Horizon is 4: times 0..40 force most adds through the overflow
-           heap and back out via promotion as the epoch advances. *)
-        let times = [ 17.; 3.; 40.; 0.5; 22.; 22.; 8.; 39.5; 4. ] in
+        && drain_both q (fun () -> Sorted_ref.pop reference));
+    t "wide time spreads pop in order" (fun () ->
+        let q = Event_queue.create () in
+        let times = [ 17.; 3.; 4e9; 0.5; 22.; 22.; 8e-6; 39.5; 4.; 1e12 ] in
         List.iteri
           (fun i time -> Event_queue.add q ~time ~prio:0 i)
           times;
@@ -429,9 +377,7 @@ let wheel_tests =
         check_true "sorted"
           (List.rev !popped = List.sort compare times));
     t "iter_pop_until delivers in-window adds made by the callback" (fun () ->
-        let q =
-          Event_queue.create ~geometry:{ width = 0.5; buckets = 8 } ()
-        in
+        let q = Event_queue.create () in
         Event_queue.add q ~time:1. ~prio:0 `Seed;
         let seen = ref [] in
         let n =
@@ -445,33 +391,12 @@ let wheel_tests =
         check_int "delivered both in-window events" 2 n;
         check_true "order" (List.rev !seen = [ (1., `Seed); (2., `Child) ]);
         check_int "late event still queued" 1 (Event_queue.size q));
-    t "geometry reflects creation choice" (fun () ->
-        check_true "default"
-          (Event_queue.geometry (Event_queue.create ())
-          = Event_queue.default_geometry);
-        let w = Event_queue.create ~geometry:{ width = 0.5; buckets = 6 } () in
-        (* Bucket counts round up to a power of two. *)
-        check_true "wheel rounded"
-          (Event_queue.geometry w = { Event_queue.width = 0.5; buckets = 8 }));
     t "rejects out-of-range prio" (fun () ->
         check_raises_invalid "negative" (fun () ->
             Event_queue.add (Event_queue.create ()) ~time:1. ~prio:(-1) ());
         check_raises_invalid "huge" (fun () ->
             Event_queue.add (Event_queue.create ()) ~time:1. ~prio:(1 lsl 20)
               ()));
-    t "rejects bad wheel geometry" (fun () ->
-        check_raises_invalid "zero width" (fun () ->
-            ignore
-              (Event_queue.create
-                 ~geometry:{ width = 0.; buckets = 4 }
-                 ()
-                : unit Event_queue.t));
-        check_raises_invalid "no buckets" (fun () ->
-            ignore
-              (Event_queue.create
-                 ~geometry:{ width = 1.; buckets = 0 }
-                 ()
-                : unit Event_queue.t)));
     t "expected capacity hint is behaviour-neutral" (fun () ->
         let a = Event_queue.create ~expected:4096 () in
         let b = Event_queue.create () in
@@ -528,5 +453,5 @@ let delay_trace_tests =
   ]
 
 let suite =
-  rng_tests @ heap_tests @ queue_tests @ tie_break_tests @ wheel_tests
+  rng_tests @ queue_tests @ tie_break_tests @ reference_tests
   @ engine_tests @ trace_tests @ delay_trace_tests
